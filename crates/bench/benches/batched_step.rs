@@ -1,16 +1,16 @@
-//! Criterion benchmark of the batched per-example-gradient pipeline behind
-//! every DPSGD step: the scalar per-example oracle vs the batched
-//! gemm-shaped clip loop vs the chunk-parallel clip loop. All three produce
-//! bit-identical clipped gradient sums (see the property tests in
-//! `dpaudit-nn` and `dpaudit-dpsgd`); this measures what the refactor buys.
+//! Criterion benchmark of one DPSGD step's clipped-gradient sum
+//! (`StepExec::clip_sum`): the scalar per-example oracle vs the drawn
+//! (one example at a time) sum vs the batched gemm-shaped chunked sum vs
+//! the chunk-parallel sum. The drawn sum is bit-identical to the in-order
+//! oracle, and the chunked sums to each other (see the property tests in
+//! `dpaudit-nn` and `dpaudit-dpsgd`); this measures what batching buys.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpaudit_bench::Workload;
-use dpaudit_dpsgd::{clip_loop, ClippingStrategy};
+use dpaudit_dpsgd::{Batch, ClippingStrategy, ComputeMode, StepExec};
 use dpaudit_math::{axpy, seeded_rng};
 use dpaudit_nn::Sequential;
-use dpaudit_tensor::Tensor;
-use rayon::ThreadPoolBuilder;
+use dpaudit_tensor::{Backend, Tensor};
 
 const TRAIN: usize = 32;
 
@@ -45,21 +45,23 @@ fn bench_batched_step(c: &mut Criterion) {
     let (model, xs, ys) = setup();
     let clipping = ClippingStrategy::Flat(3.0);
     let layout = model.param_layout();
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build()
-        .expect("thread pool construction cannot fail");
+    let all: Vec<usize> = (0..xs.len()).collect();
+    let exec = |threads| StepExec::new(ComputeMode::F64, Backend::native()).with_threads(threads);
+    let (serial, parallel) = (exec(1), exec(0));
 
     let mut g = c.benchmark_group("batched_step");
     g.sample_size(10);
     g.bench_function(format!("scalar_{TRAIN}"), |b| {
         b.iter(|| black_box(scalar_step(&model, &xs, &ys, &clipping, &layout)))
     });
+    g.bench_function(format!("drawn_{TRAIN}"), |b| {
+        b.iter(|| black_box(serial.clip_sum(&model, &xs, &ys, Batch::Drawn(&all), &clipping)))
+    });
     g.bench_function(format!("batched_{TRAIN}"), |b| {
-        b.iter(|| black_box(clip_loop(&model, &xs, &ys, &clipping, &layout, None)))
+        b.iter(|| black_box(serial.clip_sum(&model, &xs, &ys, Batch::Full, &clipping)))
     });
     g.bench_function(format!("parallel_{TRAIN}"), |b| {
-        b.iter(|| black_box(clip_loop(&model, &xs, &ys, &clipping, &layout, Some(&pool))))
+        b.iter(|| black_box(parallel.clip_sum(&model, &xs, &ys, Batch::Full, &clipping)))
     });
     g.finish();
 }

@@ -1,45 +1,30 @@
-//! Throughput probe for the batched gradient pipeline across kernel
-//! variants: per-example oracle, batched clip loop at scalar/SIMD × f64/f32,
-//! the chunk-parallel SIMD loop, and — when compiled in — every non-native
-//! gemm backend at f64/f32, per workload, emitted as a JSON blob
-//! (`results/run_all.sh` captures it as `results/BENCH_step.json`).
+//! Throughput probe for one DPSGD step's clipped-gradient sum
+//! (`StepExec::clip_sum`) across kernel variants: the full batch in chunks
+//! at scalar/SIMD × f64/f32, the chunk-parallel SIMD sum, the drawn
+//! (Poisson-style, one example at a time) sum at f64/f32, and — when
+//! compiled in — every non-native gemm backend at f64/f32, per workload,
+//! emitted as a JSON blob (`results/run_all.sh` captures it as
+//! `results/BENCH_step.json`).
 //!
 //! The speedup baseline is `batched_f64_scalar` — the register-blocked
-//! scalar-tile clip loop, i.e. the fastest single-core variant before the
+//! scalar-tile chunked sum, i.e. the fastest single-core variant before the
 //! SIMD microkernels and the f32 storage mode landed. Correctness is
 //! asserted inline: the batched-scalar, batched-SIMD, and parallel-SIMD f64
-//! sums must be bit-identical (the accumulation-chain contract), the
-//! per-example oracle must agree within 1e-9 (sequential vs chunked
-//! reduction order), and the f32 and non-native-backend sums must track the
-//! f64 native oracle within a relative tolerance — so every ratio reported
-//! here is pure speed.
+//! sums must be bit-identical (the accumulation-chain contract), the drawn
+//! f64 sum must equal the in-order sum of clipped scalar-oracle gradients
+//! bit for bit and agree with the chunked sum within 1e-9 (sequential vs
+//! chunked reduction order), and the f32 and non-native-backend sums must
+//! track the f64 native oracle within a relative tolerance — so every ratio
+//! reported here is pure speed.
 
 use dpaudit_bench::Workload;
-use dpaudit_dpsgd::{clip_loop, clip_loop_mode, ClippingStrategy, ComputeMode};
+use dpaudit_dpsgd::{Batch, ClippingStrategy, ComputeMode, StepExec};
 use dpaudit_math::{axpy, seeded_rng};
-use dpaudit_nn::Sequential;
-use dpaudit_tensor::{kernel_backend, set_force_scalar, Backend, Tensor};
-use rayon::ThreadPoolBuilder;
+use dpaudit_tensor::{kernel_backend, set_force_scalar, Backend};
 use std::time::Instant;
 
 const TRAIN: usize = 64;
 const ITERS: usize = 10;
-
-fn per_example_step(
-    model: &Sequential,
-    xs: &[Tensor],
-    ys: &[usize],
-    clipping: &ClippingStrategy,
-    layout: &[usize],
-) -> Vec<f64> {
-    let mut sum = vec![0.0; model.param_count()];
-    for (x, &y) in xs.iter().zip(ys) {
-        let (_, mut g) = model.per_example_grad_scalar(x, y);
-        clipping.clip(&mut g, layout);
-        axpy(1.0, &g, &mut sum);
-    }
-    sum
-}
 
 /// Examples/sec from the *fastest* of `ITERS` timed repetitions (after one
 /// warm-up). Minimum-over-reps is the standard throughput estimator on a
@@ -68,33 +53,47 @@ fn worst_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
+fn measure(workload: Workload) -> serde_json::Value {
     let world = workload.world(3, TRAIN);
     let mut rng = seeded_rng(5);
     let mut model = workload.build_model(&mut rng);
     model.update_norm_stats(&world.train.xs);
     let (xs, ys) = (&world.train.xs, &world.train.ys);
     let clipping = ClippingStrategy::Flat(3.0);
-    let layout = model.param_layout();
+    let all: Vec<usize> = (0..xs.len()).collect();
 
-    let batched = |compute, pool, backend| {
-        clip_loop_mode(&model, xs, ys, &clipping, &layout, pool, compute, backend).clean_sum
-    };
+    // One step's clipped sum through the single entry point. Each exec is
+    // built outside the timed closures, so the parallel row (threads 0 =
+    // the machine's parallelism) reuses one pool like a training run does.
+    let exec = |compute, backend| StepExec::new(compute, backend).with_threads(1);
+    let step = |exec: &StepExec, batch| exec.clip_sum(&model, xs, ys, batch, &clipping).clean_sum;
     let native = Backend::native();
+    let (f64_exec, f32_exec) = (
+        exec(ComputeMode::F64, native),
+        exec(ComputeMode::F32, native),
+    );
+    let parallel_exec = StepExec::new(ComputeMode::F64, native).with_threads(0);
+    let (full, drawn) = (Batch::Full, Batch::Drawn(&all));
 
-    // Scalar tiles pinned: the per-example oracle and the PR-5 baseline.
+    // Scalar tiles pinned: the scalar oracle and the speedup baseline.
     set_force_scalar(true);
-    let (per_example, oracle_sum) =
-        throughput(|| per_example_step(&model, xs, ys, &clipping, &layout));
-    let (f64_scalar, f64_scalar_sum) = throughput(|| batched(ComputeMode::F64, None, native));
-    let (f32_scalar, f32_scalar_sum) = throughput(|| batched(ComputeMode::F32, None, native));
+    let layout = model.param_layout();
+    let mut oracle_sum = vec![0.0; model.param_count()];
+    for (x, &y) in xs.iter().zip(ys) {
+        let (_, mut g) = model.per_example_grad_scalar(x, y);
+        clipping.clip(&mut g, &layout);
+        axpy(1.0, &g, &mut oracle_sum);
+    }
+    let (f64_scalar, f64_scalar_sum) = throughput(|| step(&f64_exec, full));
+    let (f32_scalar, f32_scalar_sum) = throughput(|| step(&f32_exec, full));
 
-    // SIMD dispatch restored: the variants this PR adds.
+    // SIMD dispatch restored.
     set_force_scalar(false);
-    let (f64_simd, f64_simd_sum) = throughput(|| batched(ComputeMode::F64, None, native));
-    let (f32_simd, f32_simd_sum) = throughput(|| batched(ComputeMode::F32, None, native));
-    let (parallel, parallel_sum) =
-        throughput(|| clip_loop(&model, xs, ys, &clipping, &layout, Some(pool)).clean_sum);
+    let (f64_simd, f64_simd_sum) = throughput(|| step(&f64_exec, full));
+    let (f32_simd, f32_simd_sum) = throughput(|| step(&f32_exec, full));
+    let (parallel, parallel_sum) = throughput(|| step(&parallel_exec, full));
+    let (f64_drawn, f64_drawn_sum) = throughput(|| step(&f64_exec, drawn));
+    let (f32_drawn, f32_drawn_sum) = throughput(|| step(&f32_exec, drawn));
 
     // Non-native gemm backends compiled into this binary (e.g. a blas
     // build): one f64 and one f32 row each, tolerance-checked against the
@@ -104,14 +103,20 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
         if backend == native {
             continue;
         }
-        let (f64_rate, f64_sum) = throughput(|| batched(ComputeMode::F64, None, backend));
-        let (f32_rate, f32_sum) = throughput(|| batched(ComputeMode::F32, None, backend));
+        let (f64_rate, f64_sum) = throughput(|| step(&exec(ComputeMode::F64, backend), full));
+        let (f32_rate, f32_sum) = throughput(|| step(&exec(ComputeMode::F32, backend), full));
         backend_rows.push((format!("batched_f64_{}", backend.name()), f64_rate, f64_sum));
         backend_rows.push((format!("batched_f32_{}", backend.name()), f32_rate, f32_sum));
     }
 
     // Determinism contract: every f64 variant of the chunked reduction is
-    // bit-identical; the sequential oracle agrees within rounding.
+    // bit-identical; the drawn sum is the in-order scalar-oracle sum, and
+    // agrees with the chunked one within rounding.
+    assert_eq!(
+        bits(&oracle_sum),
+        bits(&f64_drawn_sum),
+        "drawn f64 sum drifted from the in-order scalar oracle"
+    );
     assert_eq!(
         bits(&f64_scalar_sum),
         bits(&f64_simd_sum),
@@ -133,7 +138,11 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
     let scale = f64_scalar_sum
         .iter()
         .fold(1.0f64, |m, x| f64::max(m, x.abs()));
-    for (label, sum) in [("scalar", &f32_scalar_sum), ("simd", &f32_simd_sum)] {
+    for (label, sum) in [
+        ("scalar", &f32_scalar_sum),
+        ("simd", &f32_simd_sum),
+        ("drawn", &f32_drawn_sum),
+    ] {
         let worst = worst_abs_diff(sum, &f64_scalar_sum);
         assert!(
             worst < 1e-3 * scale,
@@ -154,12 +163,13 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
     }
 
     let mut rates = vec![
-        ("per_example_f64".to_string(), per_example),
         ("batched_f64_scalar".to_string(), f64_scalar),
         ("batched_f64_simd".to_string(), f64_simd),
         ("batched_f32_scalar".to_string(), f32_scalar),
         ("batched_f32_simd".to_string(), f32_simd),
         ("parallel_f64_simd".to_string(), parallel),
+        ("drawn_f64_simd".to_string(), f64_drawn),
+        ("drawn_f32_simd".to_string(), f32_drawn),
     ];
     rates.extend(backend_rows.iter().map(|(l, r, _)| (l.clone(), *r)));
     let examples_per_sec: serde_json::Value = serde_json::Value::Object(
@@ -171,7 +181,7 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
     let speedups: serde_json::Value = serde_json::Value::Object(
         rates
             .iter()
-            .filter(|(l, _)| l != "per_example_f64" && l != "batched_f64_scalar")
+            .filter(|(l, _)| l != "batched_f64_scalar")
             .map(|(l, r)| (l.clone(), serde_json::json!(*r / f64_scalar)))
             .collect(),
     );
@@ -187,13 +197,9 @@ fn measure(workload: Workload, pool: &rayon::ThreadPool) -> serde_json::Value {
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build()
-        .expect("thread pool construction cannot fail");
     let runs: Vec<serde_json::Value> = [Workload::Mnist, Workload::Purchase]
         .into_iter()
-        .map(|w| measure(w, &pool))
+        .map(measure)
         .collect();
     let gemm_backends: Vec<serde_json::Value> = Backend::compiled()
         .into_iter()

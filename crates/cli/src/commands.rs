@@ -538,6 +538,11 @@ mod tests {
 
     #[test]
     fn audit_round_trips_a_demo_transcript() {
+        // The transcript audit composes through the privacy ledger, which
+        // emits obs events. A disabled sink drops them, and holding it
+        // keeps them out of a metrics sink another test installs (installs
+        // serialise on one lock; bare emitters do not).
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
         let dir = std::env::temp_dir().join("dpaudit-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("demo_transcript.json");

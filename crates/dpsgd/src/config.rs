@@ -111,7 +111,9 @@ pub struct DpsgdConfig {
     pub adaptive: Option<AdaptiveClipConfig>,
     /// Learning rate `η` (applied to the mean perturbed gradient).
     pub learning_rate: f64,
-    /// Number of full-batch steps `k` (= epochs in the paper's setup).
+    /// Number of training steps `k`: full-batch steps (= epochs in the
+    /// paper's setup) under [`crate::train_dpsgd`], Poisson-sampled steps
+    /// under [`crate::train_dpsgd_subsampled`].
     pub steps: usize,
     /// Neighbouring-dataset relation.
     pub mode: NeighborMode,

@@ -1,42 +1,56 @@
-//! The batched DPSGD clip loop and its intra-trial parallelism knob.
+//! The one place a DPSGD step's clipped per-example gradients are computed
+//! and summed, and its intra-trial parallelism knob.
 //!
-//! [`clip_loop`] is the per-step hot path of every audit trial: per-example
-//! gradients, clipping, and the clipped-gradient sum. It walks the dataset
-//! in fixed chunks of [`CLIP_CHUNK`] examples, computes each chunk with one
-//! batched forward/backward pass, and folds the per-chunk partial sums in
-//! chunk-index order. Because the chunking is a constant of the data (never
-//! of the worker count) and the fold order is fixed, the result is
-//! bit-identical whether chunks run sequentially or on a thread pool —
-//! the same invariant the runtime executor guarantees across trials.
+//! Every trainer calls [`StepExec::clip_sum`] once per step, naming the
+//! examples the step sums as a [`Batch`]:
+//!
+//! * [`Batch::Full`] — every example (full-batch audits, federated shards),
+//!   in fixed chunks of [`CLIP_CHUNK`] examples, one batched
+//!   forward/backward pass per chunk, partial sums folded in chunk-index
+//!   order. The chunking is a constant of the data (never of the worker
+//!   count) and the fold order is fixed, so the result is bit-identical
+//!   whether chunks run sequentially or on the intra-trial pool — the same
+//!   invariant the runtime executor guarantees across trials.
+//! * [`Batch::Drawn`] — a Poisson draw, one example at a time (B=1) in draw
+//!   order on the calling thread, summed in that order. This keeps the
+//!   bytes of Poisson stores written before the trainers shared this path,
+//!   and a step's peak memory at one example's gradient row.
+//!
+//! Both run in the run's [`ComputeMode`] and compute [`Backend`]: f64 on
+//! the model's own parameters, f32 on a [`BatchModel`] view narrowed once
+//! per call, each f32 gradient value widened to f64 as it flows into the
+//! norm and the sum.
 //!
 //! The thread count is a process-wide knob ([`set_batch_threads`]) rather
 //! than a per-call argument because the trainer sits several layers below
 //! the code that knows the CLI configuration, and the knob cannot affect
 //! any result — only how fast it arrives.
 
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use dpaudit_math::axpy;
-use dpaudit_nn::{Sequential, SequentialF32};
+use dpaudit_nn::{BatchModel, Sequential};
 use dpaudit_obs as obs;
-use dpaudit_tensor::{Backend, Tensor};
+use dpaudit_tensor::{Backend, Elem, Tensor};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::clip::ClippingStrategy;
 use crate::config::ComputeMode;
 
-/// Examples per clip-loop chunk. A constant of the computation, not of the
+/// Examples per full-batch chunk. A constant of the computation, not of the
 /// thread count: chunk boundaries define the fixed-order reduction that
 /// makes the clipped-gradient sum independent of parallelism. 16 examples
 /// keeps a chunk's per-example gradient buffer around 11 MB for the largest
 /// reference model (purchase MLP, ~90k parameters).
 pub const CLIP_CHUNK: usize = 16;
 
-/// Worker threads for the clip loop inside one trial (process-wide).
+/// Worker threads for full-batch chunks inside one trial (process-wide).
 /// 1 = sequential (default), 0 = machine parallelism.
 static BATCH_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Set the intra-trial clip-loop worker count: 1 = sequential, 0 = machine
+/// Set the intra-trial worker count: 1 = sequential, 0 = machine
 /// parallelism. Safe to call at any time — the value changes throughput
 /// only, never results.
 pub fn set_batch_threads(n: usize) {
@@ -48,31 +62,19 @@ pub fn batch_threads() -> usize {
     BATCH_THREADS.load(Ordering::Relaxed)
 }
 
-/// The resolved intra-trial worker count (with 0 mapped to the machine's
-/// available parallelism).
-pub fn effective_batch_threads() -> usize {
-    match batch_threads() {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
+/// The examples one step sums, and so how it walks them (see the module
+/// docs).
+#[derive(Debug, Clone, Copy)]
+pub enum Batch<'a> {
+    /// Every example, in [`CLIP_CHUNK`] chunks folded in chunk order.
+    Full,
+    /// These examples, one at a time in this order, on the calling thread.
+    Drawn(&'a [usize]),
 }
 
-/// A thread pool sized by [`set_batch_threads`], or `None` when the knob
-/// resolves to sequential execution. Build once per training run and pass
-/// to every [`clip_loop`] call.
-pub fn batch_pool() -> Option<ThreadPool> {
-    let n = effective_batch_threads();
-    (n > 1).then(|| {
-        ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("clip-loop thread pool")
-    })
-}
-
-/// Aggregates of one clip-loop pass over a dataset.
+/// The clipped-gradient sum of one step's batch.
 #[derive(Debug, Clone)]
-pub struct ClipLoopOutput {
+pub struct ClipSum {
     /// Sum of the clipped per-example gradients (flat parameter layout).
     pub clean_sum: Vec<f64>,
     /// Sum of the per-example losses.
@@ -81,173 +83,246 @@ pub struct ClipLoopOutput {
     pub unclipped: usize,
 }
 
-/// One pass of the DPSGD clip loop: per-example gradients over `(xs, ys)`
-/// via the batched pipeline, clipped by `clipping` over `layout`, summed in
-/// fixed chunk order. With `pool`, chunks run in parallel; the output is
-/// bit-identical either way (see the module docs).
-pub fn clip_loop(
-    model: &Sequential,
-    xs: &[Tensor],
-    ys: &[usize],
-    clipping: &ClippingStrategy,
-    layout: &[usize],
-    pool: Option<&ThreadPool>,
-) -> ClipLoopOutput {
-    clip_loop_on(model, xs, ys, clipping, layout, pool, Backend::native())
+impl ClipSum {
+    fn zeros(dim: usize) -> Self {
+        Self {
+            clean_sum: vec![0.0; dim],
+            loss_total: 0.0,
+            unclipped: 0,
+        }
+    }
 }
 
-/// [`clip_loop`] with the per-example gradient gemms routed through a
-/// [`Backend`] handle (resolved once per training run, never per chunk).
-/// On [`Backend::native`] the two are bit-identical; other backends are
-/// tolerance-equivalent only.
-pub fn clip_loop_on(
-    model: &Sequential,
-    xs: &[Tensor],
-    ys: &[usize],
-    clipping: &ClippingStrategy,
-    layout: &[usize],
-    pool: Option<&ThreadPool>,
-    backend: Backend,
-) -> ClipLoopOutput {
-    let dim = model.param_count();
-    let bound = clipping.total_bound();
-    let ranges = chunk_ranges(xs.len());
-    let run_chunk = |(start, end): (usize, usize)| {
-        let chunk_span = obs::span(obs::names::CLIP_CHUNK_SPAN);
-        let (losses, mut grads) =
-            model.per_example_grads_on(backend, &xs[start..end], &ys[start..end]);
-        let mut clean_sum = vec![0.0; dim];
-        let mut unclipped = 0usize;
-        for row in grads.data_mut().chunks_exact_mut(dim) {
-            let pre_norm = clipping.clip(row, layout);
-            if pre_norm <= bound {
-                unclipped += 1;
-            }
-            axpy(1.0, row, &mut clean_sum);
-        }
-        let loss_total: f64 = losses.iter().sum();
-        drop(chunk_span);
-        ClipLoopOutput {
-            clean_sum,
-            loss_total,
-            unclipped,
-        }
-    };
-    fold_partials(run_partials(ranges, run_chunk, pool), dim)
-}
-
-/// One pass of the clip loop in the requested [`ComputeMode`].
-///
-/// [`ComputeMode::F64`] delegates to [`clip_loop`] (the bit-reproducible
-/// oracle). [`ComputeMode::F32`] narrows the model once per call
-/// ([`SequentialF32::from_model`]), computes each chunk's per-example
-/// gradients in single precision, and widens each f32 value to f64 on the
-/// fly as it flows into the norm and the chunk-ordered sum — so the norm,
-/// the clip scale, and the sum all accumulate in double precision over
-/// f32-valued inputs, without materialising an f64 copy of the row. The
-/// norm uses a fixed eight-lane partial-sum reduction (a single running sum
-/// is a serial add chain whose latency dominates the loop at ~10⁵
-/// parameters); everything downstream of the per-example gradients
-/// is deterministic with a fixed chunk and fold order, so f32 results are
-/// still bit-identical across thread counts, just not to the f64 oracle.
-///
-/// The `backend` handle routes every per-example gradient gemm (both
-/// precisions) through the selected compute backend; it is resolved once
-/// per training run, so no dynamic dispatch sits inside the chunk loop.
-#[allow(clippy::too_many_arguments)]
-pub fn clip_loop_mode(
-    model: &Sequential,
-    xs: &[Tensor],
-    ys: &[usize],
-    clipping: &ClippingStrategy,
-    layout: &[usize],
-    pool: Option<&ThreadPool>,
+/// How one training run computes its steps' clipped-gradient sums: the
+/// storage precision, the compute backend (resolved once per run, so no
+/// registry lookup sits inside the step) and the intra-trial worker count.
+/// The pool itself is built on the first full batch that can use it.
+pub struct StepExec {
     compute: ComputeMode,
     backend: Backend,
-) -> ClipLoopOutput {
-    if compute == ComputeMode::F64 {
-        return clip_loop_on(model, xs, ys, clipping, layout, pool, backend);
-    }
-    let dim = model.param_count();
-    let bound = clipping.total_bound();
-    let shadow = SequentialF32::from_model(model);
-    let ranges = chunk_ranges(xs.len());
-    let run_chunk = |(start, end): (usize, usize)| {
-        let chunk_span = obs::span(obs::names::CLIP_CHUNK_SPAN);
-        let (losses, grads) =
-            shadow.per_example_grads_on(backend, &xs[start..end], &ys[start..end]);
-        let mut clean_sum = vec![0.0; dim];
-        let mut unclipped = 0usize;
-        for row in grads.chunks_exact(dim) {
-            let pre_norm = clip_add_widened(clipping, row, layout, &mut clean_sum);
-            if pre_norm <= bound {
-                unclipped += 1;
-            }
-        }
-        let loss_total: f64 = losses.iter().sum();
-        drop(chunk_span);
-        ClipLoopOutput {
-            clean_sum,
-            loss_total,
-            unclipped,
-        }
-    };
-    fold_partials(run_partials(ranges, run_chunk, pool), dim)
+    threads: usize,
+    pool: OnceCell<Option<ThreadPool>>,
 }
 
-/// Clip one f32 gradient row against `clipping` and add it into the f64
-/// `clean_sum`, widening each value on the fly — the f32-mode fusion of
-/// [`ClippingStrategy::clip`] + `axpy`. Returns the pre-clip norm.
-///
-/// The semantics match the f64 path (`g ← g · min(1, C/‖g‖)` per flat or
+impl StepExec {
+    /// Sums in `compute` on `backend`, with the worker count of
+    /// [`set_batch_threads`].
+    pub fn new(compute: ComputeMode, backend: Backend) -> Self {
+        Self {
+            compute,
+            backend,
+            threads: batch_threads(),
+            pool: OnceCell::new(),
+        }
+    }
+
+    /// The f64 oracle on the native backend.
+    pub fn native() -> Self {
+        Self::new(ComputeMode::F64, Backend::native())
+    }
+
+    /// Override the worker count (same convention as [`set_batch_threads`]).
+    pub fn with_threads(mut self, n: usize) -> Self {
+        self.threads = n;
+        self
+    }
+
+    /// The clipped-gradient sum of `batch` over the labelled set
+    /// `(xs, ys)` at the model's current state: per-example gradients,
+    /// clipped by `clipping` over the model's parameter layout, summed as
+    /// the module docs describe. On the native backend the f64 result is
+    /// bit-identical to clipping `per_example_grad_scalar` gradients and
+    /// summing them in the same order; f32 is tolerance-equivalent to it.
+    pub fn clip_sum(
+        &self,
+        model: &Sequential,
+        xs: &[Tensor],
+        ys: &[usize],
+        batch: Batch<'_>,
+        clipping: &ClippingStrategy,
+    ) -> ClipSum {
+        assert_eq!(xs.len(), ys.len(), "clip_sum: length mismatch");
+        let layout = model.param_layout();
+        match self.compute {
+            ComputeMode::F64 => self.sum_at(
+                &BatchModel::<f64>::new(model),
+                xs,
+                ys,
+                batch,
+                clipping,
+                &layout,
+            ),
+            ComputeMode::F32 => self.sum_at(
+                &BatchModel::<f32>::new(model),
+                xs,
+                ys,
+                batch,
+                clipping,
+                &layout,
+            ),
+        }
+    }
+
+    fn sum_at<T: ClipAdd>(
+        &self,
+        view: &BatchModel<'_, T>,
+        xs: &[Tensor],
+        ys: &[usize],
+        batch: Batch<'_>,
+        clipping: &ClippingStrategy,
+        layout: &[usize],
+    ) -> ClipSum {
+        let dim = view.param_count();
+        let bound = clipping.total_bound();
+        let backend = self.backend;
+        let add = |acc: &mut ClipSum, xs: &[Tensor], ys: &[usize]| {
+            let (losses, mut grads) = view.per_example_grads(backend, xs, ys);
+            for (row, loss) in grads.chunks_exact_mut(dim).zip(losses) {
+                if T::clip_add(clipping, row, layout, &mut acc.clean_sum) <= bound {
+                    acc.unclipped += 1;
+                }
+                acc.loss_total += loss;
+            }
+        };
+        match batch {
+            Batch::Drawn(idx) => {
+                let mut acc = ClipSum::zeros(dim);
+                for &i in idx {
+                    add(
+                        &mut acc,
+                        std::slice::from_ref(&xs[i]),
+                        std::slice::from_ref(&ys[i]),
+                    );
+                }
+                acc
+            }
+            Batch::Full => {
+                let chunk = |(start, end): (usize, usize)| {
+                    let _span = obs::span(obs::names::CLIP_CHUNK_SPAN);
+                    let mut acc = ClipSum::zeros(dim);
+                    add(&mut acc, &xs[start..end], &ys[start..end]);
+                    acc
+                };
+                let ranges: Vec<(usize, usize)> = (0..xs.len())
+                    .step_by(CLIP_CHUNK)
+                    .map(|start| (start, usize::min(start + CLIP_CHUNK, xs.len())))
+                    .collect();
+                let pool = if ranges.len() > 1 { self.pool() } else { None };
+                let partials: Vec<ClipSum> = match pool {
+                    Some(pool) => pool.install(|| ranges.into_par_iter().map(&chunk).collect()),
+                    None => ranges.into_iter().map(chunk).collect(),
+                };
+                // Fold in chunk-index order: the fixed-order reduction that
+                // keeps the sum independent of scheduling.
+                let mut out = ClipSum::zeros(dim);
+                for p in partials {
+                    axpy(1.0, &p.clean_sum, &mut out.clean_sum);
+                    out.loss_total += p.loss_total;
+                    out.unclipped += p.unclipped;
+                }
+                out
+            }
+        }
+    }
+
+    /// The intra-trial pool, or `None` when the worker count resolves to
+    /// sequential execution.
+    fn pool(&self) -> Option<&ThreadPool> {
+        self.pool
+            .get_or_init(|| {
+                let n = match self.threads {
+                    0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                    n => n,
+                };
+                (n > 1).then(|| {
+                    ThreadPoolBuilder::new()
+                        .num_threads(n)
+                        .build()
+                        .expect("clip-sum thread pool")
+                })
+            })
+            .as_ref()
+    }
+}
+
+/// Clip one per-example gradient row and add it into the f64 sum,
+/// returning the pre-clip norm — per element type.
+trait ClipAdd: Elem {
+    fn clip_add(
+        clipping: &ClippingStrategy,
+        row: &mut [Self],
+        layout: &[usize],
+        sum: &mut [f64],
+    ) -> f64;
+}
+
+impl ClipAdd for f64 {
+    fn clip_add(
+        clipping: &ClippingStrategy,
+        row: &mut [f64],
+        layout: &[usize],
+        sum: &mut [f64],
+    ) -> f64 {
+        let pre_norm = clipping.clip(row, layout);
+        axpy(1.0, row, sum);
+        pre_norm
+    }
+}
+
+/// The f32 fusion of [`ClippingStrategy::clip`] + `axpy`: each value is
+/// widened on the fly, so the norm, the clip scale and the sum all
+/// accumulate in f64 without materialising an f64 copy of the row. The
+/// semantics match the f64 path (`g ← g · min(1, C/‖g‖)` per flat or
 /// per-layer segment, pre-clip *total* norm returned); only the reduction
 /// order of the norm differs, which the f32 mode's tolerance contract
 /// permits.
-fn clip_add_widened(
-    clipping: &ClippingStrategy,
-    row: &[f32],
-    layout: &[usize],
-    clean_sum: &mut [f64],
-) -> f64 {
-    let factor = |norm: f64, c: f64| if norm > c { c / norm } else { 1.0 };
-    match clipping {
-        ClippingStrategy::Flat(c) => {
-            let norm = l2_norm_widened(row);
-            axpy_widened(factor(norm, *c), row, clean_sum);
-            norm
-        }
-        ClippingStrategy::PerLayer(cs) => {
-            assert_eq!(
-                cs.len(),
-                layout.len(),
-                "clip_add_widened: {} norms for {} layers",
-                cs.len(),
-                layout.len()
-            );
-            assert_eq!(
-                layout.iter().sum::<usize>(),
-                row.len(),
-                "clip_add_widened: layout does not cover the gradient"
-            );
-            let pre = l2_norm_widened(row);
-            let mut off = 0;
-            for (&c, &len) in cs.iter().zip(layout) {
-                let seg = &row[off..off + len];
-                axpy_widened(
-                    factor(l2_norm_widened(seg), c),
-                    seg,
-                    &mut clean_sum[off..off + len],
-                );
-                off += len;
+impl ClipAdd for f32 {
+    fn clip_add(
+        clipping: &ClippingStrategy,
+        row: &mut [f32],
+        layout: &[usize],
+        sum: &mut [f64],
+    ) -> f64 {
+        let factor = |norm: f64, c: f64| if norm > c { c / norm } else { 1.0 };
+        match clipping {
+            ClippingStrategy::Flat(c) => {
+                let norm = l2_norm_widened(row);
+                axpy_widened(factor(norm, *c), row, sum);
+                norm
             }
-            pre
+            ClippingStrategy::PerLayer(cs) => {
+                assert_eq!(
+                    cs.len(),
+                    layout.len(),
+                    "ClippingStrategy::PerLayer: {} norms for {} layers",
+                    cs.len(),
+                    layout.len()
+                );
+                assert_eq!(
+                    layout.iter().sum::<usize>(),
+                    row.len(),
+                    "ClippingStrategy::PerLayer: layout does not cover the gradient"
+                );
+                let pre = l2_norm_widened(row);
+                let mut off = 0;
+                for (&c, &len) in cs.iter().zip(layout) {
+                    let seg = &row[off..off + len];
+                    axpy_widened(
+                        factor(l2_norm_widened(seg), c),
+                        seg,
+                        &mut sum[off..off + len],
+                    );
+                    off += len;
+                }
+                pre
+            }
         }
     }
 }
 
 /// ‖row‖ with each f32 widened to f64 as it is read, accumulated across
 /// eight fixed partial sums. A single running sum is a serial add chain —
-/// at ~10⁵ parameters its latency dominates the whole f32 clip loop — while
+/// at ~10⁵ parameters its latency dominates the whole f32 step — while
 /// eight independent lanes vectorise. The lane count is a constant of the
 /// algorithm, so the result does not depend on the thread count.
 fn l2_norm_widened(row: &[f32]) -> f64 {
@@ -273,47 +348,6 @@ fn axpy_widened(factor: f64, row: &[f32], sum: &mut [f64]) {
     for (s, &g) in sum.iter_mut().zip(row) {
         *s += factor * f64::from(g);
     }
-}
-
-/// The fixed chunk decomposition of a dataset of `n` examples.
-fn chunk_ranges(n: usize) -> Vec<(usize, usize)> {
-    (0..n)
-        .step_by(CLIP_CHUNK)
-        .map(|start| (start, usize::min(start + CLIP_CHUNK, n)))
-        .collect()
-}
-
-/// Run the per-chunk closure over every range, on the pool when given.
-fn run_partials<F>(
-    ranges: Vec<(usize, usize)>,
-    run_chunk: F,
-    pool: Option<&ThreadPool>,
-) -> Vec<ClipLoopOutput>
-where
-    F: Fn((usize, usize)) -> ClipLoopOutput + Sync + Send,
-{
-    match pool {
-        Some(pool) if ranges.len() > 1 => {
-            pool.install(|| ranges.into_par_iter().map(&run_chunk).collect())
-        }
-        _ => ranges.into_iter().map(run_chunk).collect(),
-    }
-}
-
-/// Fold the partials in chunk-index order — the fixed-order reduction that
-/// keeps the sum independent of scheduling.
-fn fold_partials(partials: Vec<ClipLoopOutput>, dim: usize) -> ClipLoopOutput {
-    let mut out = ClipLoopOutput {
-        clean_sum: vec![0.0; dim],
-        loss_total: 0.0,
-        unclipped: 0,
-    };
-    for p in partials {
-        axpy(1.0, &p.clean_sum, &mut out.clean_sum);
-        out.loss_total += p.loss_total;
-        out.unclipped += p.unclipped;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -343,24 +377,33 @@ mod tests {
         (model, xs, ys)
     }
 
+    fn exec(compute: ComputeMode, threads: usize) -> StepExec {
+        StepExec::new(compute, Backend::native()).with_threads(threads)
+    }
+
+    fn assert_same_bits(a: &ClipSum, b: &ClipSum) {
+        assert_eq!(a.unclipped, b.unclipped);
+        assert_eq!(a.loss_total.to_bits(), b.loss_total.to_bits());
+        for (x, y) in a.clean_sum.iter().zip(&b.clean_sum) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
     #[test]
-    fn knob_round_trips_and_resolves_zero() {
+    fn knob_round_trips() {
         let before = batch_threads();
         set_batch_threads(3);
         assert_eq!(batch_threads(), 3);
-        assert_eq!(effective_batch_threads(), 3);
-        set_batch_threads(0);
-        assert!(effective_batch_threads() >= 1);
         set_batch_threads(before);
     }
 
     #[test]
-    fn clip_loop_matches_scalar_per_example_loop_bitwise() {
+    fn full_batch_matches_chunked_scalar_oracle_bitwise() {
         // More examples than one chunk, with a ragged tail.
         let (model, xs, ys) = setup(CLIP_CHUNK * 2 + 5);
         let clipping = ClippingStrategy::Flat(0.7);
         let layout = model.param_layout();
-        let out = clip_loop(&model, &xs, &ys, &clipping, &layout, None);
+        let out = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
 
         // Chunked scalar oracle with the same fold order.
         let bound = clipping.total_bound();
@@ -369,15 +412,17 @@ mod tests {
         let mut unclipped = 0;
         for chunk in xs.chunks(CLIP_CHUNK).zip(ys.chunks(CLIP_CHUNK)) {
             let mut partial = vec![0.0; model.param_count()];
+            let mut partial_loss = 0.0;
             for (x, &y) in chunk.0.iter().zip(chunk.1) {
                 let (loss, mut g) = model.per_example_grad_scalar(x, y);
                 let pre_norm = clipping.clip(&mut g, &layout);
                 if pre_norm <= bound {
                     unclipped += 1;
                 }
-                loss_total += loss;
+                partial_loss += loss;
                 axpy(1.0, &g, &mut partial);
             }
+            loss_total += partial_loss;
             axpy(1.0, &partial, &mut expect);
         }
         assert_eq!(out.unclipped, unclipped);
@@ -388,130 +433,82 @@ mod tests {
     }
 
     #[test]
-    fn clip_loop_is_bit_identical_across_thread_counts() {
+    fn drawn_batch_sums_scalar_oracle_in_draw_order_bitwise() {
+        // Repeats and an order that is not ascending: the draw order is
+        // the summation order, with no chunk partials.
+        let (model, xs, ys) = setup(CLIP_CHUNK + 9);
+        let clipping = ClippingStrategy::PerLayer(vec![0.4, 0.3]);
+        let layout = model.param_layout();
+        let drawn = [20, 3, 3, 17, 0, 24, 9, 11, 5, 6, 7, 8, 1, 2, 4, 10, 12, 13];
+        let out =
+            exec(ComputeMode::F64, 4).clip_sum(&model, &xs, &ys, Batch::Drawn(&drawn), &clipping);
+        let mut expect = vec![0.0; model.param_count()];
+        let mut loss_total = 0.0;
+        for &i in &drawn {
+            let (loss, mut g) = model.per_example_grad_scalar(&xs[i], ys[i]);
+            clipping.clip(&mut g, &layout);
+            loss_total += loss;
+            axpy(1.0, &g, &mut expect);
+        }
+        assert_eq!(out.loss_total.to_bits(), loss_total.to_bits());
+        for (a, e) in out.clean_sum.iter().zip(&expect) {
+            assert_eq!(a.to_bits(), e.to_bits());
+        }
+        let empty =
+            exec(ComputeMode::F32, 1).clip_sum(&model, &xs, &ys, Batch::Drawn(&[]), &clipping);
+        assert!(empty.clean_sum.iter().all(|&v| v == 0.0));
+        assert_eq!((empty.loss_total, empty.unclipped), (0.0, 0));
+    }
+
+    #[test]
+    fn full_batch_is_bit_identical_across_thread_counts() {
         let (model, xs, ys) = setup(CLIP_CHUNK * 3 + 2);
         let clipping = ClippingStrategy::Flat(0.5);
-        let layout = model.param_layout();
-        let serial = clip_loop(&model, &xs, &ys, &clipping, &layout, None);
-        for threads in [2, 4] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let parallel = clip_loop(&model, &xs, &ys, &clipping, &layout, Some(&pool));
-            assert_eq!(parallel.unclipped, serial.unclipped);
-            assert_eq!(parallel.loss_total.to_bits(), serial.loss_total.to_bits());
-            for (a, e) in parallel.clean_sum.iter().zip(&serial.clean_sum) {
-                assert_eq!(a.to_bits(), e.to_bits());
+        for compute in [ComputeMode::F64, ComputeMode::F32] {
+            let serial = exec(compute, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+            for threads in [2, 4, 0] {
+                let parallel =
+                    exec(compute, threads).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+                assert_same_bits(&parallel, &serial);
             }
         }
     }
 
     #[test]
-    fn f32_mode_matches_f64_within_tolerance() {
+    fn f32_tracks_f64_within_tolerance_for_both_batch_kinds() {
         let (model, xs, ys) = setup(CLIP_CHUNK * 2 + 3);
         let clipping = ClippingStrategy::Flat(0.7);
-        let layout = model.param_layout();
-        let oracle = clip_loop(&model, &xs, &ys, &clipping, &layout, None);
-        let f32_out = clip_loop_mode(
-            &model,
-            &xs,
-            &ys,
-            &clipping,
-            &layout,
-            None,
-            ComputeMode::F32,
-            Backend::native(),
-        );
-        assert!((oracle.loss_total - f32_out.loss_total).abs() < 1e-3 * xs.len() as f64);
-        for (i, (a, b)) in oracle.clean_sum.iter().zip(&f32_out.clean_sum).enumerate() {
-            let tol = 1e-4 * xs.len() as f64 + 1e-3 * a.abs();
-            assert!((a - b).abs() < tol, "clean_sum[{i}]: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn f32_mode_is_bit_identical_across_thread_counts() {
-        let (model, xs, ys) = setup(CLIP_CHUNK * 3 + 2);
-        let clipping = ClippingStrategy::Flat(0.5);
-        let layout = model.param_layout();
-        let serial = clip_loop_mode(
-            &model,
-            &xs,
-            &ys,
-            &clipping,
-            &layout,
-            None,
-            ComputeMode::F32,
-            Backend::native(),
-        );
-        for threads in [2, 4] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let parallel = clip_loop_mode(
-                &model,
-                &xs,
-                &ys,
-                &clipping,
-                &layout,
-                Some(&pool),
-                ComputeMode::F32,
-                Backend::native(),
-            );
-            assert_eq!(parallel.unclipped, serial.unclipped);
-            assert_eq!(parallel.loss_total.to_bits(), serial.loss_total.to_bits());
-            for (a, e) in parallel.clean_sum.iter().zip(&serial.clean_sum) {
-                assert_eq!(a.to_bits(), e.to_bits());
+        let drawn: Vec<usize> = (0..xs.len()).rev().step_by(2).collect();
+        for batch in [Batch::Full, Batch::Drawn(&drawn)] {
+            let oracle = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, batch, &clipping);
+            let f32_out = exec(ComputeMode::F32, 1).clip_sum(&model, &xs, &ys, batch, &clipping);
+            assert!((oracle.loss_total - f32_out.loss_total).abs() < 1e-3 * xs.len() as f64);
+            for (i, (a, b)) in oracle.clean_sum.iter().zip(&f32_out.clean_sum).enumerate() {
+                let tol = 1e-4 * xs.len() as f64 + 1e-3 * a.abs();
+                assert!((a - b).abs() < tol, "{batch:?} clean_sum[{i}]: {a} vs {b}");
             }
         }
     }
 
-    #[test]
-    fn f64_mode_delegates_to_oracle_bitwise() {
-        let (model, xs, ys) = setup(CLIP_CHUNK + 4);
-        let clipping = ClippingStrategy::Flat(0.9);
-        let layout = model.param_layout();
-        let a = clip_loop(&model, &xs, &ys, &clipping, &layout, None);
-        let b = clip_loop_mode(
-            &model,
-            &xs,
-            &ys,
-            &clipping,
-            &layout,
-            None,
-            ComputeMode::F64,
-            Backend::native(),
-        );
-        for (x, y) in a.clean_sum.iter().zip(&b.clean_sum) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    /// Tolerance-equivalence gate at the clip-loop level: the BLAS backend
+    /// Tolerance-equivalence gate at the clip-sum level: the BLAS backend
     /// must track the native oracle closely in both precisions, and must
     /// preserve the integer clip count exactly (the tolerance is far below
     /// the margin between any pre-clip norm and the bound in this setup).
     #[cfg(feature = "blas")]
     #[test]
-    fn blas_backend_clip_loop_tracks_native_within_tolerance() {
+    fn blas_backend_clip_sum_tracks_native_within_tolerance() {
         let (model, xs, ys) = setup(CLIP_CHUNK + 7);
         let clipping = ClippingStrategy::Flat(0.7);
-        let layout = model.param_layout();
         let blas = Backend::resolve("blas").unwrap();
         for compute in [ComputeMode::F64, ComputeMode::F32] {
-            let oracle = clip_loop_mode(
+            let oracle = exec(compute, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+            let out = StepExec::new(compute, blas).with_threads(1).clip_sum(
                 &model,
                 &xs,
                 &ys,
+                Batch::Full,
                 &clipping,
-                &layout,
-                None,
-                compute,
-                Backend::native(),
             );
-            let out = clip_loop_mode(&model, &xs, &ys, &clipping, &layout, None, compute, blas);
             assert_eq!(out.unclipped, oracle.unclipped, "{compute}");
             let loss_tol = match compute {
                 ComputeMode::F64 => 1e-9 * xs.len() as f64,
@@ -531,23 +528,5 @@ mod tests {
                 assert!((a - b).abs() < tol, "{compute} clean_sum[{i}]: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn loss_chain_is_chunked_in_order() {
-        // The loss fold is (chunk-0 sum) + (chunk-1 sum) + …, each chunk an
-        // in-order sum — exercise a ragged two-chunk split explicitly.
-        let (model, xs, ys) = setup(CLIP_CHUNK + 1);
-        let clipping = ClippingStrategy::Flat(1.0);
-        let layout = model.param_layout();
-        let out = clip_loop(&model, &xs, &ys, &clipping, &layout, None);
-        let per_example: Vec<f64> = xs
-            .iter()
-            .zip(&ys)
-            .map(|(x, &y)| model.per_example_grad_scalar(x, y).0)
-            .collect();
-        let head: f64 = per_example[..CLIP_CHUNK].iter().sum();
-        let tail: f64 = per_example[CLIP_CHUNK..].iter().sum();
-        assert_eq!(out.loss_total.to_bits(), (head + tail).to_bits());
     }
 }

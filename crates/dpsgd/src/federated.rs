@@ -23,6 +23,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
+use crate::exec::{Batch, StepExec};
 
 /// Configuration of a federated DPSGD run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,9 +124,9 @@ pub fn train_federated<R: Rng + ?Sized>(
     let total_records: usize = clients.iter().map(Dataset::len).sum();
     assert!(total_records > 0, "train_federated: all shards are empty");
     let dim = model.param_count();
-    let layout = model.param_layout();
     let bound = cfg.clipping.total_bound();
     let sigma = cfg.noise_multiplier * bound;
+    let exec = StepExec::native();
     let mut gauss = GaussianSampler::new();
     let mut accountant = RdpAccountant::new();
 
@@ -139,16 +140,11 @@ pub fn train_federated<R: Rng + ?Sized>(
         let mut clean_total = vec![0.0; dim];
         let mut loss_total = 0.0;
         for shard in clients {
-            let mut sum = vec![0.0; dim];
-            for (x, &y) in shard.xs.iter().zip(&shard.ys) {
-                let (loss, mut g) = model.per_example_grad(x, y);
-                cfg.clipping.clip(&mut g, &layout);
-                loss_total += loss;
-                axpy(1.0, &g, &mut sum);
-            }
-            axpy(1.0, &sum, &mut clean_total);
+            let clipped = exec.clip_sum(model, &shard.xs, &shard.ys, Batch::Full, &cfg.clipping);
+            loss_total += clipped.loss_total;
+            axpy(1.0, &clipped.clean_sum, &mut clean_total);
             if cfg.retain_client_sums {
-                client_sums.push(sum);
+                client_sums.push(clipped.clean_sum);
             }
         }
 

@@ -36,10 +36,7 @@ pub mod transcript;
 
 pub use clip::{clip_to_norm, clipped_gradient, AdaptiveClipConfig, ClippingStrategy};
 pub use config::{BackendChoice, ComputeMode, DpsgdConfig, SensitivityScaling};
-pub use exec::{
-    batch_pool, batch_threads, clip_loop, clip_loop_mode, clip_loop_on, effective_batch_threads,
-    set_batch_threads, ClipLoopOutput, CLIP_CHUNK,
-};
+pub use exec::{batch_threads, set_batch_threads, Batch, ClipSum, StepExec, CLIP_CHUNK};
 pub use federated::{train_federated, FederatedConfig, FederatedOutcome, RoundRecord};
 pub use minibatch::{train_minibatch_dpsgd, MinibatchConfig, MinibatchOutcome};
 pub use optimizer::{Optimizer, OptimizerState};

@@ -11,12 +11,13 @@
 
 use dpaudit_datasets::Dataset;
 use dpaudit_dp::RdpAccountant;
-use dpaudit_math::{axpy, GaussianSampler};
+use dpaudit_math::GaussianSampler;
 use dpaudit_nn::Sequential;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
+use crate::exec::{Batch, StepExec};
 
 /// Configuration of a mini-batch DPSGD run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,7 +80,8 @@ pub struct MinibatchOutcome {
     /// Realised batch sizes per step.
     pub batch_sizes: Vec<usize>,
     /// Mean training loss per step over the sampled batch (NaN-free; steps
-    /// with an empty batch record the previous value).
+    /// with an empty batch record the previous value, or 0.0 — the audit
+    /// trainer's empty-batch value — before the first non-empty batch).
     pub losses: Vec<f64>,
 }
 
@@ -101,8 +103,7 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> MinibatchOutcome {
     assert!(!data.is_empty(), "train_minibatch_dpsgd: empty dataset");
-    let dim = model.param_count();
-    let layout = model.param_layout();
+    let exec = StepExec::native();
     let bound = cfg.clipping.total_bound();
     let sigma = cfg.noise_multiplier * bound;
     let expected_batch = (cfg.sampling_rate * data.len() as f64).max(1.0);
@@ -110,7 +111,7 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     let mut accountant = RdpAccountant::new();
     let mut batch_sizes = Vec::with_capacity(cfg.steps);
     let mut losses = Vec::with_capacity(cfg.steps);
-    let mut last_loss = f64::NAN;
+    let mut last_loss = 0.0;
 
     for _ in 0..cfg.steps {
         // Poisson sampling: each record independently with probability q.
@@ -124,19 +125,19 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
             model.update_norm_stats(&batch_xs);
         }
 
-        let mut sum = vec![0.0; dim];
-        let mut loss_total = 0.0;
-        for &i in &batch {
-            let (loss, mut g) = model.per_example_grad(&data.xs[i], data.ys[i]);
-            cfg.clipping.clip(&mut g, &layout);
-            loss_total += loss;
-            axpy(1.0, &g, &mut sum);
-        }
+        let clipped = exec.clip_sum(
+            model,
+            &data.xs,
+            &data.ys,
+            Batch::Drawn(&batch),
+            &cfg.clipping,
+        );
         if !batch.is_empty() {
-            last_loss = loss_total / batch.len() as f64;
+            last_loss = clipped.loss_total / batch.len() as f64;
         }
         losses.push(last_loss);
 
+        let mut sum = clipped.clean_sum;
         for v in &mut sum {
             *v += gauss.sample(rng, 0.0, sigma);
         }
@@ -237,6 +238,24 @@ mod tests {
         let mut full = RdpAccountant::new();
         full.add_gaussian_steps(2.0, 5);
         assert!((out.epsilon(1e-5) - full.epsilon(1e-5).0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn losses_stay_finite_when_the_first_draw_is_empty() {
+        // Seed and q chosen so that step 0 draws no record: its loss is the
+        // audit trainer's empty-batch value 0.0 until a batch is drawn.
+        let mut model = tiny_model(13);
+        let data = tiny_data(4);
+        let out = train_minibatch_dpsgd(&mut model, &data, &cfg(0.1, 12, 1.0), &mut seeded_rng(2));
+        assert_eq!(out.batch_sizes[0], 0, "step 0 drew {:?}", out.batch_sizes);
+        assert_eq!(out.losses[0], 0.0);
+        assert!(out.losses.iter().all(|l| l.is_finite()), "{:?}", out.losses);
+        let first = out
+            .batch_sizes
+            .iter()
+            .position(|&b| b > 0)
+            .expect("no batch drawn");
+        assert!(out.losses[first] > 0.0);
     }
 
     #[test]

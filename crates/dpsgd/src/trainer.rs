@@ -1,4 +1,4 @@
-//! The DPSGD training loop.
+//! The DPSGD training loop of the audit protocols.
 
 use dpaudit_math::{l2_distance, l2_norm, GaussianSampler};
 use dpaudit_nn::Sequential;
@@ -7,7 +7,7 @@ use rand::Rng;
 
 use crate::clip::ClippingStrategy;
 use crate::config::DpsgdConfig;
-use crate::exec::{batch_pool, clip_loop_mode};
+use crate::exec::{Batch, StepExec};
 use crate::optimizer::OptimizerState;
 use crate::pair::NeighborPair;
 use crate::transcript::{StepRecord, Transcript};
@@ -34,117 +34,18 @@ pub fn train_dpsgd<R: Rng + ?Sized>(
     train_on_d: bool,
     cfg: &DpsgdConfig,
     rng: &mut R,
-    mut observer: impl FnMut(StepRecord),
+    observer: impl FnMut(StepRecord),
 ) {
-    let data = pair.trained_dataset(train_on_d);
-    assert!(!data.is_empty(), "train_dpsgd: empty training set");
-    let public_n = pair.d.len() as f64;
-    let dim = model.param_count();
-    let layout = model.param_layout();
-    let mut gauss = GaussianSampler::new();
-    // Intra-trial parallelism for the clip loop (see `exec`): one pool per
-    // training run, `None` when the knob says sequential.
-    let pool = batch_pool();
-    // Resolve the compute backend once per training run; every gemm below
-    // (clip loop and differing-record gradients) routes through this handle.
-    // Callers are expected to have validated availability at session setup,
-    // so an unresolvable backend here is a programming error.
-    let backend = cfg
-        .backend
-        .resolve()
-        .unwrap_or_else(|e| panic!("train_dpsgd: {e}"));
-
-    // The clipping strategy in force; adaptive clipping mutates the flat
-    // norm between steps.
-    let mut clipping = cfg.clipping.clone();
-    let mut optimizer = OptimizerState::new(cfg.optimizer, dim);
-
-    for step in 0..cfg.steps {
-        model.update_norm_stats(&data.xs);
-        let bound = clipping.total_bound();
-
-        let clip_span = obs::span(obs::names::CLIP_SPAN);
-        let clipped = clip_loop_mode(
-            model,
-            &data.xs,
-            &data.ys,
-            &clipping,
-            &layout,
-            pool.as_ref(),
-            cfg.compute,
-            backend,
-        );
-        let (clean_sum, loss_total, unclipped) =
-            (clipped.clean_sum, clipped.loss_total, clipped.unclipped);
-        drop(clip_span);
-
-        let noise_span = obs::span(obs::names::NOISE_SPAN);
-        // Differing-record gradients at the current public state.
-        let (x1, y1) = pair.x1();
-        let (_, mut grad_x1) = model.per_example_grad_on(backend, x1, y1);
-        clipping.clip(&mut grad_x1, &layout);
-        let grad_x2 = pair.x2.as_ref().map(|(x2, y2)| {
-            let (_, mut g) = model.per_example_grad_on(backend, x2, *y2);
-            clipping.clip(&mut g, &layout);
-            g
-        });
-        let local_sensitivity = match &grad_x2 {
-            Some(g2) => l2_distance(&grad_x1, g2),
-            None => l2_norm(&grad_x1),
-        };
-
-        let sensitivity_used = cfg.sensitivity_for_step(local_sensitivity, bound);
-        let sigma = cfg.noise_multiplier * sensitivity_used;
-
-        let mut noisy_sum = clean_sum.clone();
-        for v in &mut noisy_sum {
-            *v += gauss.sample(rng, 0.0, sigma);
-        }
-        drop(noise_span);
-
-        let update_span = obs::span(obs::names::UPDATE_SPAN);
-        // θ updated from g̃/|D| (public divisor; see function docs) via the
-        // configured optimizer — post-processing of the released gradient.
-        let update: Vec<f64> = noisy_sum.iter().map(|v| v / public_n).collect();
-        optimizer.apply(model, &update, cfg.learning_rate);
-
-        // Steer the clip norm for the next step (adaptive extension).
-        if let Some(adaptive) = &cfg.adaptive {
-            if let ClippingStrategy::Flat(c) = &mut clipping {
-                *c = adaptive.updated_norm(*c, unclipped as f64 / data.len() as f64);
-            }
-        }
-        drop(update_span);
-
-        if obs::enabled() {
-            obs::counter(obs::names::STEPS, 1);
-            obs::counter(obs::names::EXAMPLES_SEEN, data.len() as u64);
-            obs::counter(
-                obs::names::EXAMPLES_CLIPPED,
-                (data.len() - unclipped) as u64,
-            );
-            // Effective per-step noise multiplier zᵢ = σᵢ / sᵢ against the
-            // *realised* local sensitivity — the quantity the §6.4 ledger
-            // composes. Under local scaling it sits at the planned z; under
-            // global scaling its spread shows the wasted noise.
-            if local_sensitivity > 0.0 {
-                obs::observe(obs::names::NOISE_MULTIPLIER_HIST, sigma / local_sensitivity);
-            }
-        }
-
-        observer(StepRecord {
-            step,
-            noisy_sum,
-            clean_sum,
-            grad_x1,
-            grad_x2,
-            local_sensitivity,
-            clip_bound: bound,
-            sensitivity_used,
-            sigma,
-            mean_loss: loss_total / data.len() as f64,
-        });
-    }
+    run_steps(
+        "train_dpsgd",
+        model,
+        pair,
+        train_on_d,
+        cfg,
+        Sampling::FullBatch,
+        rng,
+        observer,
+    );
 }
 
 /// Run `cfg.steps` Poisson-subsampled DPSGD steps on `model` for the DI
@@ -154,9 +55,9 @@ pub fn train_dpsgd<R: Rng + ?Sized>(
 /// the trained dataset enters the batch independently with probability `q`
 /// (drawn from `sample_rng`, a stream separate from the noise stream so
 /// callers can keep their full-batch seed conventions untouched), the
-/// clipped per-example gradients of the batch are summed, Gaussian noise is
-/// added, and the update divides by the *public* expected batch size
-/// `q·|D|`.
+/// clipped per-example gradients of the batch are summed one at a time in
+/// draw order, Gaussian noise is added, and the update divides by the
+/// *public* expected batch size `q·|D|`.
 ///
 /// Differences from the full-batch audit protocol, dictated by the
 /// subsampled Gaussian RDP accountant the privacy claim composes through
@@ -182,65 +83,99 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
     q: f64,
     noise_rng: &mut R,
     sample_rng: &mut S,
-    mut observer: impl FnMut(StepRecord),
+    observer: impl FnMut(StepRecord),
 ) {
-    let data = pair.trained_dataset(train_on_d);
-    assert!(
-        !data.is_empty(),
-        "train_dpsgd_subsampled: empty training set"
-    );
     assert!(
         q.is_finite() && q > 0.0 && q <= 1.0,
         "train_dpsgd_subsampled: q must be in (0, 1], got {q}"
     );
+    run_steps(
+        "train_dpsgd_subsampled",
+        model,
+        pair,
+        train_on_d,
+        cfg,
+        Sampling::Poisson {
+            q,
+            uniform: &mut || sample_rng.gen::<f64>(),
+        },
+        noise_rng,
+        observer,
+    );
+}
+
+/// How an audit step picks its batch. The σ rule and the update divisor
+/// follow from it; everything else about a step is shared.
+enum Sampling<'a> {
+    /// Every record; σ scaled per `cfg.scaling`; update divided by `|D|`.
+    FullBatch,
+    /// Each record with probability `q`, deciding by `uniform() < q` in
+    /// record order; `σ = z·C`; update divided by `max(q·|D|, 1)`.
+    Poisson {
+        q: f64,
+        uniform: &'a mut dyn FnMut() -> f64,
+    },
+}
+
+/// The step loop behind [`train_dpsgd`] and [`train_dpsgd_subsampled`];
+/// `name` prefixes its panic messages.
+#[allow(clippy::too_many_arguments)]
+fn run_steps<R: Rng + ?Sized>(
+    name: &str,
+    model: &mut Sequential,
+    pair: &NeighborPair,
+    train_on_d: bool,
+    cfg: &DpsgdConfig,
+    mut sampling: Sampling<'_>,
+    rng: &mut R,
+    mut observer: impl FnMut(StepRecord),
+) {
+    let data = pair.trained_dataset(train_on_d);
+    assert!(!data.is_empty(), "{name}: empty training set");
     let public_n = pair.d.len() as f64;
-    let expected_batch = (q * public_n).max(1.0);
-    let dim = model.param_count();
     let layout = model.param_layout();
     let mut gauss = GaussianSampler::new();
+    // Resolve the compute backend once per training run; every gemm below
+    // (clipped sum and differing-record gradients) routes through this
+    // handle. Callers are expected to have validated availability at
+    // session setup, so an unresolvable backend here is a programming error.
     let backend = cfg
         .backend
         .resolve()
-        .unwrap_or_else(|e| panic!("train_dpsgd_subsampled: {e}"));
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let exec = StepExec::new(cfg.compute, backend);
 
+    // The clipping strategy in force; adaptive clipping mutates the flat
+    // norm between steps.
     let mut clipping = cfg.clipping.clone();
-    let mut optimizer = OptimizerState::new(cfg.optimizer, dim);
+    let mut optimizer = OptimizerState::new(cfg.optimizer, model.param_count());
 
     for step in 0..cfg.steps {
-        // Poisson sampling: each record independently with probability q,
-        // from the dedicated sampling stream.
-        let batch: Vec<usize> = (0..data.len())
-            .filter(|_| sample_rng.gen::<f64>() < q)
-            .collect();
-
-        if !batch.is_empty() {
-            let batch_xs: Vec<_> = batch.iter().map(|&i| data.xs[i].clone()).collect();
-            model.update_norm_stats(&batch_xs);
-        }
+        let drawn: Vec<usize>;
+        let (batch, batch_len) = match &mut sampling {
+            Sampling::FullBatch => {
+                model.update_norm_stats(&data.xs);
+                (Batch::Full, data.len())
+            }
+            Sampling::Poisson { q, uniform } => {
+                drawn = (0..data.len()).filter(|_| uniform() < *q).collect();
+                if !drawn.is_empty() {
+                    let batch_xs: Vec<_> = drawn.iter().map(|&i| data.xs[i].clone()).collect();
+                    model.update_norm_stats(&batch_xs);
+                }
+                (Batch::Drawn(&drawn), drawn.len())
+            }
+        };
         let bound = clipping.total_bound();
 
         let clip_span = obs::span(obs::names::CLIP_SPAN);
-        let mut clean_sum = vec![0.0; dim];
-        let mut loss_total = 0.0;
-        let mut unclipped = 0usize;
-        for &i in &batch {
-            let (loss, mut g) = model.per_example_grad_on(backend, &data.xs[i], data.ys[i]);
-            let norm = l2_norm(&g);
-            clipping.clip(&mut g, &layout);
-            if norm <= bound {
-                unclipped += 1;
-            }
-            loss_total += loss;
-            for (a, b) in clean_sum.iter_mut().zip(&g) {
-                *a += b;
-            }
-        }
+        let clipped = exec.clip_sum(model, &data.xs, &data.ys, batch, &clipping);
         drop(clip_span);
 
         let noise_span = obs::span(obs::names::NOISE_SPAN);
         // Differing-record gradients at the current public state, recorded
-        // for the adversary's (batch-conditional) hypothesis centers and
-        // the local-sensitivity diagnostics.
+        // for the adversary's hypothesis centers (batch-conditional under
+        // Poisson sampling) and the local-sensitivity estimate.
         let (x1, y1) = pair.x1();
         let (_, mut grad_x1) = model.per_example_grad_on(backend, x1, y1);
         clipping.clip(&mut grad_x1, &layout);
@@ -254,37 +189,45 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
             None => l2_norm(&grad_x1),
         };
 
-        // σ = z·C: the add/remove sensitivity the subsampled accountant
-        // assumes (see function docs).
-        let sensitivity_used = bound;
+        let (sensitivity_used, divisor) = match sampling {
+            Sampling::FullBatch => (cfg.sensitivity_for_step(local_sensitivity, bound), public_n),
+            // σ = z·C: the add/remove sensitivity the subsampled accountant
+            // assumes (see `train_dpsgd_subsampled`).
+            Sampling::Poisson { q, .. } => (bound, (q * public_n).max(1.0)),
+        };
         let sigma = cfg.noise_multiplier * sensitivity_used;
 
-        let mut noisy_sum = clean_sum.clone();
+        let mut noisy_sum = clipped.clean_sum.clone();
         for v in &mut noisy_sum {
-            *v += gauss.sample(noise_rng, 0.0, sigma);
+            *v += gauss.sample(rng, 0.0, sigma);
         }
         drop(noise_span);
 
         let update_span = obs::span(obs::names::UPDATE_SPAN);
-        let update: Vec<f64> = noisy_sum.iter().map(|v| v / expected_batch).collect();
+        // θ updated from g̃ over a public divisor (see the wrappers' docs)
+        // via the configured optimizer — post-processing of the release.
+        let update: Vec<f64> = noisy_sum.iter().map(|v| v / divisor).collect();
         optimizer.apply(model, &update, cfg.learning_rate);
 
-        if let Some(adaptive) = &cfg.adaptive {
-            if let ClippingStrategy::Flat(c) = &mut clipping {
-                if !batch.is_empty() {
-                    *c = adaptive.updated_norm(*c, unclipped as f64 / batch.len() as f64);
-                }
+        // Steer the clip norm for the next step (adaptive extension).
+        if let (Some(adaptive), ClippingStrategy::Flat(c)) = (&cfg.adaptive, &mut clipping) {
+            if batch_len > 0 {
+                *c = adaptive.updated_norm(*c, clipped.unclipped as f64 / batch_len as f64);
             }
         }
         drop(update_span);
 
         if obs::enabled() {
             obs::counter(obs::names::STEPS, 1);
-            obs::counter(obs::names::EXAMPLES_SEEN, batch.len() as u64);
+            obs::counter(obs::names::EXAMPLES_SEEN, batch_len as u64);
             obs::counter(
                 obs::names::EXAMPLES_CLIPPED,
-                (batch.len() - unclipped) as u64,
+                (batch_len - clipped.unclipped) as u64,
             );
+            // Effective per-step noise multiplier zᵢ = σᵢ / sᵢ against the
+            // *realised* local sensitivity — the quantity the §6.4 ledger
+            // composes. Under local scaling it sits at the planned z; under
+            // global scaling its spread shows the wasted noise.
             if local_sensitivity > 0.0 {
                 obs::observe(obs::names::NOISE_MULTIPLIER_HIST, sigma / local_sensitivity);
             }
@@ -293,17 +236,17 @@ pub fn train_dpsgd_subsampled<R: Rng + ?Sized, S: Rng + ?Sized>(
         observer(StepRecord {
             step,
             noisy_sum,
-            clean_sum,
+            clean_sum: clipped.clean_sum,
             grad_x1,
             grad_x2,
             local_sensitivity,
             clip_bound: bound,
             sensitivity_used,
             sigma,
-            mean_loss: if batch.is_empty() {
+            mean_loss: if batch_len == 0 {
                 0.0
             } else {
-                loss_total / batch.len() as f64
+                clipped.loss_total / batch_len as f64
             },
         });
     }
@@ -340,6 +283,10 @@ mod tests {
 
     /// A small synthetic classification setup that trains in milliseconds.
     fn tiny_setup(seed: u64) -> (Sequential, NeighborPair) {
+        sized_setup(seed, 10)
+    }
+
+    fn sized_setup(seed: u64, n: usize) -> (Sequential, NeighborPair) {
         let mut rng = seeded_rng(seed);
         let model = Sequential::new(vec![
             Layer::Dense(Dense::new(&mut rng, 8, 6)),
@@ -347,7 +294,7 @@ mod tests {
             Layer::Dense(Dense::new(&mut rng, 6, 3)),
         ]);
         let mut d = dpaudit_datasets::Dataset::empty();
-        for i in 0..10 {
+        for i in 0..n {
             let x: Vec<f64> = (0..8)
                 .map(|j| ((i * 13 + j * 7) % 11) as f64 / 11.0)
                 .collect();
@@ -563,32 +510,118 @@ mod tests {
         assert_ne!(t_sgd.steps[4].clean_sum, t_adam.steps[4].clean_sum);
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn f32_compute_mode_tracks_f64_within_tolerance() {
-        // Full training runs with identical seeds, differing only in the
-        // storage precision of the clip loop: the noise draws coincide, so
-        // the released sums and the weight trajectory differ only by f32
-        // rounding, which must stay inside a narrow relative band.
+        // Full-batch and Poisson runs with identical noise (and sampling)
+        // seeds, differing only in the storage precision of the clipped
+        // sum: the noise draws and the batches coincide, so the released
+        // sums and the weight trajectory differ only by f32 rounding, which
+        // must stay inside a narrow relative band — and must be there: an
+        // f32 sum equal in bits to the f64 one was not computed in f32.
         let (model, pair) = tiny_setup(21);
         let c64 = cfg(SensitivityScaling::Global);
         let mut c32 = cfg(SensitivityScaling::Global);
         c32.compute = crate::config::ComputeMode::F32;
-        let mut m64 = model.clone();
-        let mut m32 = model;
-        let t64 = train_collect(&mut m64, &pair, true, &c64, &mut seeded_rng(22));
-        let t32 = train_collect(&mut m32, &pair, true, &c32, &mut seeded_rng(22));
-        for (s64, s32) in t64.steps.iter().zip(&t32.steps) {
-            let err = l2_distance(&s64.clean_sum, &s32.clean_sum);
-            let scale = l2_norm(&s64.clean_sum).max(1.0);
-            assert!(
-                err < 1e-3 * scale,
-                "step {}: clean_sum drift {err} vs scale {scale}",
-                s64.step
-            );
-            assert!((s64.mean_loss - s32.mean_loss).abs() < 1e-3);
+        let run = |c: &DpsgdConfig, q: Option<f64>| {
+            let mut m = model.clone();
+            let mut steps = Vec::new();
+            let observe = |r| steps.push(r);
+            match q {
+                None => train_dpsgd(&mut m, &pair, true, c, &mut seeded_rng(22), observe),
+                Some(q) => train_dpsgd_subsampled(
+                    &mut m,
+                    &pair,
+                    true,
+                    c,
+                    q,
+                    &mut seeded_rng(22),
+                    &mut seeded_rng(23),
+                    observe,
+                ),
+            }
+            (steps, m.params())
+        };
+        for q in [None, Some(0.5)] {
+            let (t64, w64) = run(&c64, q);
+            let (t32, w32) = run(&c32, q);
+            let mut summed = 0;
+            for (s64, s32) in t64.iter().zip(&t32) {
+                let err = l2_distance(&s64.clean_sum, &s32.clean_sum);
+                let scale = l2_norm(&s64.clean_sum).max(1.0);
+                assert!(
+                    err < 1e-3 * scale,
+                    "q {q:?} step {}: clean_sum drift {err} vs scale {scale}",
+                    s64.step
+                );
+                assert!((s64.mean_loss - s32.mean_loss).abs() < 1e-3);
+                if s64.clean_sum.iter().any(|&v| v != 0.0) {
+                    summed += 1;
+                    assert_ne!(
+                        bits(&s64.clean_sum),
+                        bits(&s32.clean_sum),
+                        "q {q:?} step {}: the f32 sum is the f64 sum",
+                        s64.step
+                    );
+                }
+            }
+            assert!(summed > 0, "q {q:?}: every batch was empty");
+            let w_err = l2_distance(&w64, &w32);
+            assert!(w_err < 1e-3, "q {q:?}: final weight drift {w_err}");
         }
-        let w_err = l2_distance(&m64.params(), &m32.params());
-        assert!(w_err < 1e-3, "final weight drift {w_err}");
+    }
+
+    #[test]
+    fn subsampled_f64_clean_sum_is_the_in_order_scalar_sum() {
+        // The Poisson reduction order: each step's clean sum is the drawn
+        // examples' clipped scalar-oracle gradients added one at a time in
+        // draw order, bit for bit — the property that keeps Poisson stores
+        // written before the trainers shared one clip path resumable. The
+        // draws exceed one full-batch chunk, so a chunked sum would show.
+        let (model0, pair) = sized_setup(33, 40);
+        let c = cfg(SensitivityScaling::Global);
+        let q = 0.9;
+        let mut model = model0.clone();
+        let mut records = Vec::new();
+        train_dpsgd_subsampled(
+            &mut model,
+            &pair,
+            true,
+            &c,
+            q,
+            &mut seeded_rng(34),
+            &mut seeded_rng(35),
+            |r| records.push(r),
+        );
+        // Replay the sampling stream and the public SGD update.
+        let mut replay = model0;
+        let mut sample_rng = seeded_rng(35);
+        let layout = replay.param_layout();
+        let divisor = q * pair.d.len() as f64;
+        let mut largest_draw = 0;
+        for r in &records {
+            let drawn: Vec<usize> = (0..pair.d.len())
+                .filter(|_| sample_rng.gen::<f64>() < q)
+                .collect();
+            let mut expect = vec![0.0; replay.param_count()];
+            for &i in &drawn {
+                let (_, mut g) = replay.per_example_grad_scalar(&pair.d.xs[i], pair.d.ys[i]);
+                c.clipping.clip(&mut g, &layout);
+                axpy(1.0, &g, &mut expect);
+            }
+            assert_eq!(bits(&r.clean_sum), bits(&expect), "step {}", r.step);
+            largest_draw = largest_draw.max(drawn.len());
+            let update: Vec<f64> = r.noisy_sum.iter().map(|v| v / divisor).collect();
+            replay.gradient_step(&update, c.learning_rate);
+        }
+        assert!(
+            largest_draw > crate::exec::CLIP_CHUNK,
+            "largest draw {largest_draw}"
+        );
+        assert_eq!(bits(&replay.params()), bits(&model.params()));
     }
 
     /// Tolerance-equivalence gate at the train-step level: a full training

@@ -1,28 +1,290 @@
-//! Element-generic batched layer kernels, shared by the f64 pipeline
-//! ([`crate::layers::Layer::forward_batch`]) and the f32 storage mode
-//! ([`crate::batch32::SequentialF32`]).
+//! The batched per-example-gradient pipeline, written once for both
+//! precisions: one dispatcher ([`BatchModel`]) and one cache type
+//! (`BatchCache`) over element-generic layer kernels.
 //!
-//! Each helper is written once against [`Elem`] and a [`Backend`] handle:
-//! the two precisions and every compute backend flow through the same code
-//! path, so the accumulation order per element type is defined in exactly
-//! one place. On [`Backend::native`] these are bit-identical to the
-//! pre-refactor per-precision bodies they replaced — the gemm entry points
-//! the backend dispatches to are the very same dispatched kernels, and the
-//! non-gemm arithmetic is untouched.
+//! [`BatchModel`] views a [`Sequential`]'s layers at an [`Elem`] type:
+//! f64 (the determinism oracle) borrows the model's parameters, and the f32
+//! storage mode narrows them once, when the view is built. Each kernel
+//! below is written once against [`Elem`] and a [`Backend`] handle, so the
+//! accumulation order per element type is defined in exactly one place. On
+//! [`Backend::native`] the f64 instantiation is bit-identical to the scalar
+//! oracle [`Sequential::per_example_grad_scalar`]; f32 is
+//! tolerance-equivalent to it.
 //!
-//! All helpers work on flat row-major `[B, ...]` slices; shape validation
-//! stays with the callers (which own the layer structs and batch shapes).
+//! All kernels work on flat row-major `[B, ...]` slices; shape validation
+//! stays with the dispatcher, which resolves every layer's dimensions
+//! from the model's own layer structs.
+
+use std::borrow::Cow;
 
 use dpaudit_tensor::{
     conv2d_backward_input_into, conv2d_backward_params_on, conv2d_forward_gemm_on,
-    maxpool2d_backward, maxpool2d_forward, Backend, Conv2dDims, Elem, PoolDims,
+    maxpool2d_backward, maxpool2d_forward, Backend, Conv2dDims, Elem, PoolDims, Tensor,
 };
+
+use crate::layers::Layer;
+use crate::loss::softmax_cross_entropy;
+use crate::model::Sequential;
+
+/// A model's layers at element type `T`, ready for batched per-example
+/// gradients. The f64 view borrows the parameters; the f32 view holds
+/// narrowed copies, so build it once per model state (once per DPSGD step)
+/// and reuse it for every batch of that step.
+pub struct BatchModel<'a, T: Elem> {
+    /// Each layer with its tensors at `T`, in canonical order: Dense
+    /// `[weight, bias]`, Conv2d `[kernels, bias]`, BatchNorm2d
+    /// `[gamma, beta, running mean, 1/√(var + eps)]`, none otherwise.
+    layers: Vec<(&'a Layer, Vec<Cow<'a, [T]>>)>,
+    dim: usize,
+}
+
+/// One layer's forward intermediates for a whole batch, consumed by its
+/// backward pass. Buffers are the per-example caches concatenated in
+/// example order.
+enum BatchCache<T> {
+    /// The layer's `[B, in_features]` input.
+    Dense { input: Vec<T> },
+    /// `B` concatenated im2col patch matrices and the per-example dims.
+    Conv2d { patches: Vec<T>, dims: Conv2dDims },
+    /// The normalised activations x̂ and the spatial plane size.
+    BatchNorm2d { normalized: Vec<T>, plane: usize },
+    /// Which inputs were strictly positive.
+    Relu { mask: Vec<bool> },
+    /// Example-relative argmax indices and the per-example dims.
+    MaxPool2d { argmax: Vec<usize>, dims: PoolDims },
+    /// Flatten keeps the flat buffer; nothing to restore.
+    Flatten,
+}
+
+impl<'a, T: Elem> BatchModel<'a, T> {
+    /// View `model` at element type `T`.
+    pub fn new(model: &'a Sequential) -> Self {
+        let layers = model
+            .layers
+            .iter()
+            .map(|layer| (layer, layer_params(layer)))
+            .collect();
+        Self {
+            layers,
+            dim: model.param_count(),
+        }
+    }
+
+    /// Total number of learnable parameters (the model's).
+    pub fn param_count(&self) -> usize {
+        self.dim
+    }
+
+    /// Losses and per-example flat parameter gradients for a labelled
+    /// batch, in one batched forward/backward pass with every gemm routed
+    /// through `backend`. Returns the per-example losses (the softmax
+    /// cross-entropy head runs in f64 on widened logits) and the
+    /// `[B, param_count]` gradient buffer at `T`, row `b` in the layout of
+    /// [`Sequential::params`].
+    ///
+    /// # Panics
+    /// Panics on an empty or ragged batch or a length mismatch.
+    pub fn per_example_grads(
+        &self,
+        backend: Backend,
+        xs: &[Tensor],
+        labels: &[usize],
+    ) -> (Vec<f64>, Vec<T>) {
+        assert_eq!(xs.len(), labels.len(), "per_example_grads: length mismatch");
+        let first = xs.first().expect("per_example_grads: empty batch");
+        let batch = xs.len();
+        let mut shape = first.shape().to_vec();
+        let mut h = Vec::with_capacity(batch * first.len());
+        for x in xs {
+            assert_eq!(x.shape(), &shape[..], "per_example_grads: ragged batch");
+            h.extend(x.data().iter().map(|&v| T::from_f64(v)));
+        }
+
+        let mut caches = Vec::with_capacity(self.layers.len());
+        for (layer, params) in &self.layers {
+            let (out, cache) = forward(backend, layer, params, h, &mut shape, batch);
+            caches.push(cache);
+            h = out;
+        }
+
+        assert_eq!(shape.len(), 1, "per_example_grads: logits must be flat");
+        let classes = shape[0];
+        let mut losses = Vec::with_capacity(batch);
+        let mut d = Vec::with_capacity(batch * classes);
+        let mut row64 = vec![0.0; classes];
+        for (row, &label) in h.chunks_exact(classes).zip(labels) {
+            for (wide, &v) in row64.iter_mut().zip(row) {
+                *wide = v.to_f64();
+            }
+            let (loss, d_row) = softmax_cross_entropy(&row64, label);
+            losses.push(loss);
+            d.extend(d_row.iter().map(|&v| T::from_f64(v)));
+        }
+
+        // Each layer writes its per-example segments straight into the flat
+        // [B, dim] buffer. The first layer's input gradient is discarded
+        // (the input is data, not a parameter), so its gemm is skipped.
+        let mut flat = vec![T::ZERO; batch * self.dim];
+        let mut offset = self.dim;
+        for (idx, ((layer, params), cache)) in self.layers.iter().zip(caches).enumerate().rev() {
+            offset -= layer.param_count();
+            d = backward(
+                backend,
+                layer,
+                params,
+                cache,
+                d,
+                &mut flat,
+                (self.dim, offset),
+                batch,
+                idx > 0,
+            );
+        }
+        (losses, flat)
+    }
+}
+
+/// A layer's tensors at `T`, in the order the `BatchModel::layers` field
+/// documents.
+fn layer_params<T: Elem>(layer: &Layer) -> Vec<Cow<'_, [T]>> {
+    match layer {
+        Layer::Dense(d) => vec![
+            T::from_f64_slice(d.weight.data()),
+            T::from_f64_slice(d.bias.data()),
+        ],
+        Layer::Conv2d(c) => vec![
+            T::from_f64_slice(c.kernels.data()),
+            T::from_f64_slice(c.bias.data()),
+        ],
+        Layer::BatchNorm2d(b) => vec![
+            T::from_f64_slice(b.gamma.data()),
+            T::from_f64_slice(b.beta.data()),
+            T::from_f64_slice(&b.running_mean),
+            // The rsqrt runs in f64, so the f32 view holds the correctly
+            // rounded f32 of the f64 statistic.
+            Cow::Owned(b.inv_std().into_iter().map(T::from_f64).collect()),
+        ],
+        Layer::Relu | Layer::MaxPool2d(_) | Layer::Flatten => Vec::new(),
+    }
+}
+
+/// Forward one layer over the flat `[B, ...]` batch buffer, updating the
+/// per-example `shape`. Returns the output buffer and the backward cache.
+fn forward<T: Elem>(
+    backend: Backend,
+    layer: &Layer,
+    p: &[Cow<'_, [T]>],
+    input: Vec<T>,
+    shape: &mut Vec<usize>,
+    batch: usize,
+) -> (Vec<T>, BatchCache<T>) {
+    match layer {
+        Layer::Dense(d) => {
+            let (n, m) = (d.in_features(), d.out_features());
+            assert_eq!(
+                shape[..],
+                [n],
+                "Dense: batched input must be [B, {n}], got [B, {shape:?}]"
+            );
+            let y = dense_forward(backend, &input, &p[0], &p[1], batch, n, m);
+            *shape = vec![m];
+            (y, BatchCache::Dense { input })
+        }
+        Layer::Conv2d(c) => {
+            let dims = c.dims_for_shape(shape);
+            let (out, patches) = conv_forward(backend, &input, &p[0], &p[1], &dims, batch);
+            *shape = vec![dims.out_channels, dims.out_h(), dims.out_w()];
+            (out, BatchCache::Conv2d { patches, dims })
+        }
+        Layer::BatchNorm2d(b) => {
+            assert_eq!(
+                shape.len(),
+                3,
+                "BatchNorm2d expects [C, H, W], got {shape:?}"
+            );
+            assert_eq!(shape[0], b.channels(), "BatchNorm2d: channel mismatch");
+            let plane = shape[1] * shape[2];
+            let (out, normalized) =
+                batchnorm_forward(&input, &p[0], &p[1], &p[2], &p[3], plane, batch);
+            (out, BatchCache::BatchNorm2d { normalized, plane })
+        }
+        Layer::Relu => {
+            let (out, mask) = relu_forward(&input);
+            (out, BatchCache::Relu { mask })
+        }
+        Layer::MaxPool2d(pool) => {
+            let dims = pool.dims_for_shape(shape);
+            let (out, argmax) = maxpool_forward(&input, &dims, batch);
+            *shape = vec![dims.channels, dims.out_h(), dims.out_w()];
+            (out, BatchCache::MaxPool2d { argmax, dims })
+        }
+        Layer::Flatten => {
+            *shape = vec![shape.iter().product()];
+            (input, BatchCache::Flatten)
+        }
+    }
+}
+
+/// Backward one layer: consume `d_out`, write this layer's per-example
+/// parameter gradients at `flat[b·stride + offset..]` (zero on entry) for
+/// `(stride, offset)`, and return `d_input` — empty for a Dense or Conv2d
+/// layer when `need_d_in` is false.
+#[allow(clippy::too_many_arguments)]
+fn backward<T: Elem>(
+    backend: Backend,
+    layer: &Layer,
+    p: &[Cow<'_, [T]>],
+    cache: BatchCache<T>,
+    d_out: Vec<T>,
+    flat: &mut [T],
+    (stride, offset): (usize, usize),
+    batch: usize,
+    need_d_in: bool,
+) -> Vec<T> {
+    match (layer, cache) {
+        (Layer::Dense(d), BatchCache::Dense { input }) => dense_backward(
+            backend,
+            &d_out,
+            &input,
+            &p[0],
+            flat,
+            stride,
+            offset,
+            batch,
+            d.in_features(),
+            d.out_features(),
+            need_d_in,
+        ),
+        (Layer::Conv2d(_), BatchCache::Conv2d { patches, dims }) => conv_backward(
+            backend, &d_out, &patches, &p[0], &dims, flat, stride, offset, batch, need_d_in,
+        ),
+        (Layer::BatchNorm2d(_), BatchCache::BatchNorm2d { normalized, plane }) => {
+            batchnorm_backward(
+                &d_out,
+                &normalized,
+                &p[0],
+                &p[3],
+                plane,
+                flat,
+                stride,
+                offset,
+                batch,
+            )
+        }
+        (Layer::Relu, BatchCache::Relu { mask }) => relu_backward(&d_out, &mask),
+        (Layer::MaxPool2d(_), BatchCache::MaxPool2d { argmax, dims }) => {
+            maxpool_backward(&d_out, &argmax, &dims)
+        }
+        (Layer::Flatten, BatchCache::Flatten) => d_out,
+        _ => unreachable!("BatchModel: cache does not match layer kind"),
+    }
+}
 
 /// Batched dense forward `Y = X·Wᵀ + b`: one gemm for the whole batch, the
 /// bias joining after the dot product (matching the scalar layer's
 /// add-after-matvec order). `input` is `[B, in_f]`, `weight` is
 /// `[out_f, in_f]`; returns `[B, out_f]`.
-pub(crate) fn dense_forward<T: Elem>(
+fn dense_forward<T: Elem>(
     backend: Backend,
     input: &[T],
     weight: &[T],
@@ -46,7 +308,7 @@ pub(crate) fn dense_forward<T: Elem>(
 /// example's `[dW | db]` segment written at `flat[b·stride + offset..]` as
 /// the outer product `δ ⊗ x` followed by `δ`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dense_backward<T: Elem>(
+fn dense_backward<T: Elem>(
     backend: Backend,
     d_out: &[T],
     input: &[T],
@@ -80,7 +342,7 @@ pub(crate) fn dense_backward<T: Elem>(
 /// Batched convolution forward: per-example `im2col` lowering and one
 /// forward gemm each, writing straight into slices of batch-sized buffers.
 /// Returns `(out, patches)` — the patch matrices are the backward cache.
-pub(crate) fn conv_forward<T: Elem>(
+fn conv_forward<T: Elem>(
     backend: Backend,
     input: &[T],
     kernels: &[T],
@@ -107,7 +369,7 @@ pub(crate) fn conv_forward<T: Elem>(
 /// straight into the caller's `[dK | db]` segment of `flat`, and the input
 /// gradient (the transposed convolution) computed only when `need_d_in`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv_backward<T: Elem>(
+fn conv_backward<T: Elem>(
     backend: Backend,
     d_out: &[T],
     patches: &[T],
@@ -148,7 +410,7 @@ pub(crate) fn conv_backward<T: Elem>(
 /// Batched frozen batch-norm forward `y = γ·(x − μ)·inv_std + β`, with the
 /// per-channel statistics pre-folded into `mean`/`inv_std`. Returns
 /// `(out, normalized)` — the normalized activations are the backward cache.
-pub(crate) fn batchnorm_forward<T: Elem>(
+fn batchnorm_forward<T: Elem>(
     input: &[T],
     gamma: &[T],
     beta: &[T],
@@ -180,7 +442,7 @@ pub(crate) fn batchnorm_forward<T: Elem>(
 /// `d_in = dy·γ·inv_std` — the statistics are constants, so the chain rule
 /// is linear.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn batchnorm_backward<T: Elem>(
+fn batchnorm_backward<T: Elem>(
     d_out: &[T],
     normalized: &[T],
     gamma: &[T],
@@ -215,7 +477,7 @@ pub(crate) fn batchnorm_backward<T: Elem>(
 
 /// Batched ReLU forward. Returns `(out, mask)`; the mask is the backward
 /// cache.
-pub(crate) fn relu_forward<T: Elem>(input: &[T]) -> (Vec<T>, Vec<bool>) {
+fn relu_forward<T: Elem>(input: &[T]) -> (Vec<T>, Vec<bool>) {
     let mask: Vec<bool> = input.iter().map(|&x| x > T::ZERO).collect();
     let out: Vec<T> = input
         .iter()
@@ -225,7 +487,7 @@ pub(crate) fn relu_forward<T: Elem>(input: &[T]) -> (Vec<T>, Vec<bool>) {
 }
 
 /// Batched ReLU backward: gradients pass where the mask is set.
-pub(crate) fn relu_backward<T: Elem>(d_out: &[T], mask: &[bool]) -> Vec<T> {
+fn relu_backward<T: Elem>(d_out: &[T], mask: &[bool]) -> Vec<T> {
     assert_eq!(d_out.len(), mask.len(), "ReLU backward: length mismatch");
     d_out
         .iter()
@@ -236,11 +498,7 @@ pub(crate) fn relu_backward<T: Elem>(d_out: &[T], mask: &[bool]) -> Vec<T> {
 
 /// Batched max-pool forward. Returns `(out, argmax)`; the argmax indices
 /// are the backward cache.
-pub(crate) fn maxpool_forward<T: Elem>(
-    input: &[T],
-    dims: &PoolDims,
-    batch: usize,
-) -> (Vec<T>, Vec<usize>) {
+fn maxpool_forward<T: Elem>(input: &[T], dims: &PoolDims, batch: usize) -> (Vec<T>, Vec<usize>) {
     let ex_len = dims.channels * dims.in_h * dims.in_w;
     let out_len = dims.channels * dims.out_h() * dims.out_w();
     let mut out = Vec::with_capacity(batch * out_len);
@@ -254,7 +512,7 @@ pub(crate) fn maxpool_forward<T: Elem>(
 }
 
 /// Batched max-pool backward: scatter each gradient to its argmax source.
-pub(crate) fn maxpool_backward<T: Elem>(d_out: &[T], argmax: &[usize], dims: &PoolDims) -> Vec<T> {
+fn maxpool_backward<T: Elem>(d_out: &[T], argmax: &[usize], dims: &PoolDims) -> Vec<T> {
     let out_len = dims.channels * dims.out_h() * dims.out_w();
     let batch = d_out.len() / out_len;
     let mut d_in = Vec::with_capacity(batch * dims.channels * dims.in_h * dims.in_w);
@@ -265,4 +523,131 @@ pub(crate) fn maxpool_backward<T: Elem>(d_out: &[T], argmax: &[usize], dims: &Po
         d_in.extend_from_slice(&maxpool2d_backward(dy, am, dims));
     }
     d_in
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layers::{BatchNorm2d, Conv2d, Dense, MaxPool2d};
+    use dpaudit_math::seeded_rng;
+    use rand::Rng;
+
+    fn tiny_mlp(seed: u64) -> Sequential {
+        let mut rng = seeded_rng(seed);
+        Sequential::new(vec![
+            Layer::Dense(Dense::new(&mut rng, 6, 5)),
+            Layer::Relu,
+            Layer::Dense(Dense::new(&mut rng, 5, 3)),
+        ])
+    }
+
+    fn tiny_cnn(seed: u64) -> Sequential {
+        let mut rng = seeded_rng(seed);
+        Sequential::new(vec![
+            Layer::Conv2d(Conv2d::new(&mut rng, 1, 2, 3)),
+            Layer::BatchNorm2d(BatchNorm2d::new(2)),
+            Layer::Relu,
+            Layer::MaxPool2d(MaxPool2d { pool: 2 }),
+            Layer::Flatten,
+            Layer::Dense(Dense::new(&mut rng, 2 * 3 * 3, 3)),
+        ])
+    }
+
+    fn example(seed: u64, shape: &[usize]) -> Tensor {
+        let mut rng = seeded_rng(seed);
+        let n: usize = shape.iter().product();
+        Tensor::from_vec(shape, (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+    }
+
+    /// The f32 pipeline must agree with the f64 oracle within a tolerance
+    /// band scaled to single-precision accumulation depth.
+    fn assert_grads_close(model: &Sequential, xs: &[Tensor], labels: &[usize]) {
+        let (losses64, grads64) = model.per_example_grads(xs, labels);
+        let narrow = BatchModel::<f32>::new(model);
+        assert_eq!(narrow.param_count(), model.param_count());
+        let (losses32, grads32) = narrow.per_example_grads(Backend::native(), xs, labels);
+        for (a, b) in losses64.iter().zip(&losses32) {
+            assert!((a - b).abs() < 1e-4, "loss differs: {a} vs {b}");
+        }
+        assert_eq!(grads32.len(), grads64.len());
+        for (i, (g64, g32)) in grads64.data().iter().zip(&grads32).enumerate() {
+            let diff = (g64 - f64::from(*g32)).abs();
+            let tol = 1e-4 + 1e-3 * g64.abs();
+            assert!(diff < tol, "grad[{i}] differs: {g64} vs {g32}");
+        }
+    }
+
+    #[test]
+    fn mlp_f32_grads_match_f64_within_tolerance() {
+        let model = tiny_mlp(3);
+        let xs: Vec<Tensor> = (0..7).map(|i| example(100 + i, &[6])).collect();
+        let labels = vec![0, 1, 2, 0, 1, 2, 0];
+        assert_grads_close(&model, &xs, &labels);
+    }
+
+    #[test]
+    fn cnn_f32_grads_match_f64_within_tolerance() {
+        let model = tiny_cnn(5);
+        let xs: Vec<Tensor> = (0..5).map(|i| example(200 + i, &[1, 8, 8])).collect();
+        let labels = vec![2, 0, 1, 1, 2];
+        assert_grads_close(&model, &xs, &labels);
+    }
+
+    /// Layer-pipeline-level backend equivalence: the blas backend's
+    /// per-example gradients must track the native oracle within a
+    /// reassociation-scale tolerance, in both precisions.
+    #[cfg(feature = "blas")]
+    #[test]
+    fn blas_backend_grads_track_native_within_tolerance() {
+        let blas = Backend::resolve("blas").unwrap();
+        let model = tiny_cnn(5);
+        let xs: Vec<Tensor> = (0..5).map(|i| example(200 + i, &[1, 8, 8])).collect();
+        let labels = vec![2, 0, 1, 1, 2];
+
+        let (l_native, g_native) = model.per_example_grads(&xs, &labels);
+        let (l_blas, g_blas) = model.per_example_grads_on(blas, &xs, &labels);
+        for (a, b) in l_native.iter().zip(&l_blas) {
+            assert!((a - b).abs() < 1e-9, "f64 loss differs: {a} vs {b}");
+        }
+        for (i, (a, b)) in g_native.data().iter().zip(g_blas.data()).enumerate() {
+            let tol = 1e-9 * (1.0 + a.abs());
+            assert!((a - b).abs() < tol, "f64 grad[{i}] differs: {a} vs {b}");
+        }
+
+        let narrow = BatchModel::<f32>::new(&model);
+        let (_, s_native) = narrow.per_example_grads(Backend::native(), &xs, &labels);
+        let (_, s_blas) = narrow.per_example_grads(blas, &xs, &labels);
+        for (i, (a, b)) in s_native.iter().zip(&s_blas).enumerate() {
+            let tol = 1e-4 + 1e-3 * f64::from(a.abs());
+            assert!(
+                (f64::from(*a) - f64::from(*b)).abs() < tol,
+                "f32 grad[{i}] differs: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn f32_batch_rows_match_single_example_runs() {
+        // Row b of the batched result equals the B=1 run on example b —
+        // the f32 pipeline keeps per-example independence exactly.
+        let model = tiny_cnn(9);
+        let narrow = BatchModel::<f32>::new(&model);
+        let xs: Vec<Tensor> = (0..3).map(|i| example(300 + i, &[1, 8, 8])).collect();
+        let labels = vec![0, 2, 1];
+        let native = Backend::native();
+        let (_, grads) = narrow.per_example_grads(native, &xs, &labels);
+        let dim = narrow.param_count();
+        for (b, (x, &y)) in xs.iter().zip(&labels).enumerate() {
+            let (_, solo) = narrow.per_example_grads(native, std::slice::from_ref(x), &[y]);
+            for (i, (batched, single)) in
+                grads[b * dim..(b + 1) * dim].iter().zip(&solo).enumerate()
+            {
+                assert_eq!(
+                    batched.to_bits(),
+                    single.to_bits(),
+                    "example {b} grad {i}: {batched} vs {single}"
+                );
+            }
+        }
+    }
 }

@@ -7,12 +7,11 @@
 
 use dpaudit_tensor::{
     conv2d_backward, conv2d_forward, matvec, matvec_transposed, maxpool2d_backward,
-    maxpool2d_forward, outer_product, Backend, Conv2dDims, PoolDims, Tensor,
+    maxpool2d_forward, outer_product, Conv2dDims, PoolDims, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::batched;
 use crate::init::glorot_uniform;
 
 /// Per-layer forward intermediates required by the backward pass.
@@ -56,50 +55,6 @@ pub enum Cache {
     },
 }
 
-/// Per-layer forward intermediates for a whole batch — the batched
-/// counterpart of [`Cache`]. All buffers are the per-example caches
-/// concatenated in example order.
-#[derive(Debug, Clone)]
-pub enum BatchCache {
-    /// Dense layer cache.
-    Dense {
-        /// The layer's `[B, in_features]` input.
-        input: Tensor,
-    },
-    /// Convolution cache: the [`dpaudit_tensor::im2col_into`] patch
-    /// matrices of every example.
-    Conv2d {
-        /// `B` concatenated `[patch_rows, patch_cols]` matrices.
-        patches: Vec<f64>,
-        /// The spatial dimensions resolved at forward time (per example).
-        dims: Conv2dDims,
-    },
-    /// Batch-norm cache.
-    BatchNorm2d {
-        /// The normalised (pre-scale) activations x̂, shape `[B, C, H, W]`.
-        normalized: Tensor,
-        /// Per-channel `1/√(var + eps)`.
-        inv_std: Vec<f64>,
-    },
-    /// ReLU cache.
-    Relu {
-        /// Which inputs were strictly positive, over the whole batch buffer.
-        mask: Vec<bool>,
-    },
-    /// Max-pooling cache.
-    MaxPool2d {
-        /// Example-relative argmax indices, concatenated per example.
-        argmax: Vec<usize>,
-        /// The pooling dimensions resolved at forward time (per example).
-        dims: PoolDims,
-    },
-    /// Flatten cache.
-    Flatten {
-        /// The original per-example shape to restore on backward.
-        shape: Vec<usize>,
-    },
-}
-
 /// Fully connected layer `y = W·x + b` with `W: [out, in]`, `b: [out]`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
@@ -121,11 +76,11 @@ impl Dense {
         }
     }
 
-    fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.weight.shape()[1]
     }
 
-    fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.weight.shape()[0]
     }
 }
@@ -164,7 +119,7 @@ impl Conv2d {
     }
 
     /// Resolve spatial dimensions from a `[C, H, W]` example shape.
-    fn dims_for_shape(&self, is: &[usize]) -> Conv2dDims {
+    pub(crate) fn dims_for_shape(&self, is: &[usize]) -> Conv2dDims {
         let ks = self.kernels.shape();
         assert_eq!(is.len(), 3, "Conv2d expects a [C, H, W] input, got {is:?}");
         assert_eq!(
@@ -219,8 +174,16 @@ impl BatchNorm2d {
         }
     }
 
-    fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.gamma.len()
+    }
+
+    /// Per-channel `1/√(var + eps)` of the running statistics.
+    pub(crate) fn inv_std(&self) -> Vec<f64> {
+        self.running_var
+            .iter()
+            .map(|&v| 1.0 / (v + self.eps).sqrt())
+            .collect()
     }
 
     /// Fold a batch's per-channel mean/variance into the running statistics.
@@ -253,7 +216,7 @@ impl MaxPool2d {
     }
 
     /// Resolve pooling dimensions from a `[C, H, W]` example shape.
-    fn dims_for_shape(&self, is: &[usize]) -> PoolDims {
+    pub(crate) fn dims_for_shape(&self, is: &[usize]) -> PoolDims {
         assert_eq!(
             is.len(),
             3,
@@ -425,11 +388,7 @@ impl Layer {
                 assert_eq!(is.len(), 3, "BatchNorm2d expects [C, H, W], got {is:?}");
                 assert_eq!(is[0], b.channels(), "BatchNorm2d: channel mismatch");
                 let plane = is[1] * is[2];
-                let inv_std: Vec<f64> = b
-                    .running_var
-                    .iter()
-                    .map(|&v| 1.0 / (v + b.eps).sqrt())
-                    .collect();
+                let inv_std = b.inv_std();
                 let mut normalized = vec![0.0; input.len()];
                 let mut out = vec![0.0; input.len()];
                 // The channel index addresses several parallel per-channel
@@ -548,235 +507,6 @@ impl Layer {
                 (d_out.clone().reshape(shape), Vec::new())
             }
             _ => panic!("Layer::backward: cache does not match layer kind"),
-        }
-    }
-
-    /// Forward pass on a `[B, ...]` batch tensor, producing a `[B, ...]`
-    /// output and the cache for [`Layer::backward_batch`].
-    ///
-    /// Each example's arithmetic follows the exact accumulation order of the
-    /// single-example [`Layer::forward`], so batched outputs are bit-identical
-    /// to stacking `B` scalar passes. Dense and convolution layers run one
-    /// gemm-shaped call per batch/example instead of `B` matvecs.
-    pub fn forward_batch(&self, input: &Tensor) -> (Tensor, BatchCache) {
-        self.forward_batch_on(Backend::native(), input)
-    }
-
-    /// [`Layer::forward_batch`] with the gemm-shaped work routed through a
-    /// [`Backend`] handle. On [`Backend::native`] the two are bit-identical;
-    /// other backends are tolerance-equivalent only.
-    pub fn forward_batch_on(&self, backend: Backend, input: &Tensor) -> (Tensor, BatchCache) {
-        let is = input.shape();
-        let batch = *is.first().expect("forward_batch: rank-0 input");
-        match self {
-            Layer::Dense(d) => {
-                let (m, n) = (d.out_features(), d.in_features());
-                assert_eq!(
-                    is,
-                    &[batch, n],
-                    "Dense: batched input must be [B, {n}], got {is:?}"
-                );
-                let y = batched::dense_forward(
-                    backend,
-                    input.data(),
-                    d.weight.data(),
-                    d.bias.data(),
-                    batch,
-                    n,
-                    m,
-                );
-                (
-                    Tensor::from_vec(&[batch, m], y),
-                    BatchCache::Dense {
-                        input: input.clone(),
-                    },
-                )
-            }
-            Layer::Conv2d(c) => {
-                assert_eq!(
-                    is.len(),
-                    4,
-                    "Conv2d expects a [B, C, H, W] input, got {is:?}"
-                );
-                let dims = c.dims_for_shape(&is[1..]);
-                let (out, patches) = batched::conv_forward(
-                    backend,
-                    input.data(),
-                    c.kernels.data(),
-                    c.bias.data(),
-                    &dims,
-                    batch,
-                );
-                (
-                    Tensor::from_vec(&[batch, dims.out_channels, dims.out_h(), dims.out_w()], out),
-                    BatchCache::Conv2d { patches, dims },
-                )
-            }
-            Layer::BatchNorm2d(b) => {
-                assert_eq!(is.len(), 4, "BatchNorm2d expects [B, C, H, W], got {is:?}");
-                assert_eq!(is[1], b.channels(), "BatchNorm2d: channel mismatch");
-                let plane = is[2] * is[3];
-                let inv_std: Vec<f64> = b
-                    .running_var
-                    .iter()
-                    .map(|&v| 1.0 / (v + b.eps).sqrt())
-                    .collect();
-                let (out, normalized) = batched::batchnorm_forward(
-                    input.data(),
-                    b.gamma.data(),
-                    b.beta.data(),
-                    &b.running_mean,
-                    &inv_std,
-                    plane,
-                    batch,
-                );
-                (
-                    Tensor::from_vec(is, out),
-                    BatchCache::BatchNorm2d {
-                        normalized: Tensor::from_vec(is, normalized),
-                        inv_std,
-                    },
-                )
-            }
-            Layer::Relu => {
-                let (out, mask) = batched::relu_forward(input.data());
-                (Tensor::from_vec(is, out), BatchCache::Relu { mask })
-            }
-            Layer::MaxPool2d(p) => {
-                assert_eq!(
-                    is.len(),
-                    4,
-                    "MaxPool2d expects a [B, C, H, W] input, got {is:?}"
-                );
-                let dims = p.dims_for_shape(&is[1..]);
-                let (out, argmax) = batched::maxpool_forward(input.data(), &dims, batch);
-                (
-                    Tensor::from_vec(&[batch, dims.channels, dims.out_h(), dims.out_w()], out),
-                    BatchCache::MaxPool2d { argmax, dims },
-                )
-            }
-            Layer::Flatten => {
-                let shape = is[1..].to_vec();
-                let n: usize = shape.iter().product();
-                (
-                    input.clone().reshape(&[batch, n]),
-                    BatchCache::Flatten { shape },
-                )
-            }
-        }
-    }
-
-    /// Batched backward pass. Returns `d_input`; this layer's per-example
-    /// parameter gradients ([`Layer::param_count`] values each, canonical
-    /// order) are written straight into `d_params` at
-    /// `d_params[b * stride + offset..]` for example `b` — the caller's flat
-    /// `[B, total_params]` buffer, avoiding a per-layer staging copy. The
-    /// target segments must be zero on entry (accumulating layers rely on
-    /// it). Parameterless layers never touch `d_params`.
-    pub fn backward_batch(
-        &self,
-        d_out: &Tensor,
-        cache: &BatchCache,
-        d_params: &mut [f64],
-        stride: usize,
-        offset: usize,
-    ) -> Tensor {
-        self.backward_batch_on(Backend::native(), d_out, cache, d_params, stride, offset)
-    }
-
-    /// [`Layer::backward_batch`] with the gemm-shaped work routed through a
-    /// [`Backend`] handle. On [`Backend::native`] the two are bit-identical;
-    /// other backends are tolerance-equivalent only.
-    pub fn backward_batch_on(
-        &self,
-        backend: Backend,
-        d_out: &Tensor,
-        cache: &BatchCache,
-        d_params: &mut [f64],
-        stride: usize,
-        offset: usize,
-    ) -> Tensor {
-        let batch = *d_out.shape().first().expect("backward_batch: rank-0 d_out");
-        match (self, cache) {
-            (Layer::Dense(d), BatchCache::Dense { input }) => {
-                let (m, n) = (d.out_features(), d.in_features());
-                assert_eq!(
-                    d_out.shape(),
-                    &[batch, m],
-                    "Dense backward: d_out shape mismatch"
-                );
-                let d_in = batched::dense_backward(
-                    backend,
-                    d_out.data(),
-                    input.data(),
-                    d.weight.data(),
-                    d_params,
-                    stride,
-                    offset,
-                    batch,
-                    n,
-                    m,
-                    true,
-                );
-                Tensor::from_vec(&[batch, n], d_in)
-            }
-            (Layer::Conv2d(c), BatchCache::Conv2d { patches, dims }) => {
-                assert_eq!(
-                    d_out.len(),
-                    batch * dims.out_channels * dims.patch_rows(),
-                    "Conv2d backward: d_out length mismatch"
-                );
-                let d_in = batched::conv_backward(
-                    backend,
-                    d_out.data(),
-                    patches,
-                    c.kernels.data(),
-                    dims,
-                    d_params,
-                    stride,
-                    offset,
-                    batch,
-                    true,
-                );
-                Tensor::from_vec(&[batch, dims.in_channels, dims.in_h, dims.in_w], d_in)
-            }
-            (
-                Layer::BatchNorm2d(b),
-                BatchCache::BatchNorm2d {
-                    normalized,
-                    inv_std,
-                },
-            ) => {
-                let is = normalized.shape();
-                let plane = is[2] * is[3];
-                let d_in = batched::batchnorm_backward(
-                    d_out.data(),
-                    normalized.data(),
-                    b.gamma.data(),
-                    inv_std,
-                    plane,
-                    d_params,
-                    stride,
-                    offset,
-                    batch,
-                );
-                Tensor::from_vec(is, d_in)
-            }
-            (Layer::Relu, BatchCache::Relu { mask }) => {
-                let d_in = batched::relu_backward(d_out.data(), mask);
-                Tensor::from_vec(d_out.shape(), d_in)
-            }
-            (Layer::MaxPool2d(_), BatchCache::MaxPool2d { argmax, dims }) => {
-                let d_in = batched::maxpool_backward(d_out.data(), argmax, dims);
-                Tensor::from_vec(&[batch, dims.channels, dims.in_h, dims.in_w], d_in)
-            }
-            (Layer::Flatten, BatchCache::Flatten { shape }) => {
-                let mut full = Vec::with_capacity(shape.len() + 1);
-                full.push(batch);
-                full.extend_from_slice(shape);
-                d_out.clone().reshape(&full)
-            }
-            _ => panic!("Layer::backward_batch: cache does not match layer kind"),
         }
     }
 }

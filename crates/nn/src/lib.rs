@@ -15,17 +15,16 @@
 //! constants, which keeps per-example gradients well defined — the standard
 //! workaround in DP deep-learning stacks.
 
-pub mod batch32;
-pub(crate) mod batched;
+mod batched;
 pub mod init;
 pub mod layers;
 pub mod loss;
 pub mod model;
 pub mod zoo;
 
-pub use batch32::SequentialF32;
+pub use batched::BatchModel;
 pub use init::glorot_uniform;
-pub use layers::{BatchCache, BatchNorm2d, Cache, Conv2d, Dense, Layer, MaxPool2d};
+pub use layers::{BatchNorm2d, Cache, Conv2d, Dense, Layer, MaxPool2d};
 pub use loss::{cross_entropy_loss, softmax, softmax_cross_entropy};
 pub use model::Sequential;
 pub use zoo::{mnist_cnn, purchase_mlp, MNIST_CLASSES, PURCHASE_CLASSES, PURCHASE_FEATURES};

@@ -3,7 +3,8 @@
 use dpaudit_tensor::{Backend, Tensor};
 use serde::{Deserialize, Serialize};
 
-use crate::layers::{BatchCache, Cache, Layer};
+use crate::batched::BatchModel;
+use crate::layers::{Cache, Layer};
 use crate::loss::softmax_cross_entropy;
 
 /// A feed-forward stack of [`Layer`]s.
@@ -131,85 +132,6 @@ impl Sequential {
         flat
     }
 
-    /// Plain batched forward pass (no caches) over a `[B, ...]` batch
-    /// tensor, producing `[B, classes]` logits.
-    pub fn forward_batch(&self, xs: &Tensor) -> Tensor {
-        self.forward_batch_on(Backend::native(), xs)
-    }
-
-    /// [`Sequential::forward_batch`] with the gemms routed through a
-    /// [`Backend`] handle.
-    pub fn forward_batch_on(&self, backend: Backend, xs: &Tensor) -> Tensor {
-        let mut h = xs.clone();
-        for layer in &self.layers {
-            let (out, _) = layer.forward_batch_on(backend, &h);
-            h = out;
-        }
-        h
-    }
-
-    /// Batched forward pass retaining per-layer caches for
-    /// [`Sequential::backward_batch`].
-    pub fn forward_batch_cached(&self, xs: &Tensor) -> (Tensor, Vec<BatchCache>) {
-        self.forward_batch_cached_on(Backend::native(), xs)
-    }
-
-    /// [`Sequential::forward_batch_cached`] with the gemms routed through a
-    /// [`Backend`] handle.
-    pub fn forward_batch_cached_on(
-        &self,
-        backend: Backend,
-        xs: &Tensor,
-    ) -> (Tensor, Vec<BatchCache>) {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut h = xs.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer.forward_batch_on(backend, &h);
-            caches.push(cache);
-            h = out;
-        }
-        (h, caches)
-    }
-
-    /// Backpropagate per-example logit gradients (`[B, classes]`) through a
-    /// cached batched forward pass, returning the `[B, param_count]` tensor
-    /// of per-example flat parameter gradients — row `b` is exactly what
-    /// [`Sequential::per_example_grad`] would return for example `b`.
-    pub fn backward_batch(&self, caches: &[BatchCache], d_logits: Tensor) -> Tensor {
-        self.backward_batch_on(Backend::native(), caches, d_logits)
-    }
-
-    /// [`Sequential::backward_batch`] with the gemms routed through a
-    /// [`Backend`] handle.
-    pub fn backward_batch_on(
-        &self,
-        backend: Backend,
-        caches: &[BatchCache],
-        d_logits: Tensor,
-    ) -> Tensor {
-        assert_eq!(
-            caches.len(),
-            self.layers.len(),
-            "backward_batch: cache count mismatch"
-        );
-        let batch = d_logits.shape()[0];
-        let dim = self.param_count();
-        // Each layer writes its per-example gradient segment straight into
-        // the flat `[B, dim]` buffer — no per-layer staging copy.
-        let mut flat = vec![0.0; batch * dim];
-        let mut offsets = Vec::with_capacity(self.layers.len());
-        let mut off = 0;
-        for layer in &self.layers {
-            offsets.push(off);
-            off += layer.param_count();
-        }
-        let mut d = d_logits;
-        for ((layer, cache), offset) in self.layers.iter().zip(caches).zip(offsets).rev() {
-            d = layer.backward_batch_on(backend, &d, cache, &mut flat, dim, offset);
-        }
-        Tensor::from_vec(&[batch, dim], flat)
-    }
-
     /// Losses and per-example flat parameter gradients for a labelled batch,
     /// computed in one batched forward/backward pass. Returns the per-example
     /// losses and a `[B, param_count]` gradient tensor.
@@ -233,23 +155,11 @@ impl Sequential {
         xs: &[Tensor],
         labels: &[usize],
     ) -> (Vec<f64>, Tensor) {
-        assert_eq!(xs.len(), labels.len(), "per_example_grads: length mismatch");
-        let batch = Tensor::stack(xs);
-        let (logits, caches) = self.forward_batch_cached_on(backend, &batch);
-        let classes = logits.shape()[1];
-        let mut losses = Vec::with_capacity(xs.len());
-        let mut d_logits = Vec::with_capacity(logits.len());
-        for (row, &label) in logits.data().chunks_exact(classes).zip(labels) {
-            let (loss, d_row) = softmax_cross_entropy(row, label);
-            losses.push(loss);
-            d_logits.extend_from_slice(&d_row);
-        }
-        let grads = self.backward_batch_on(
-            backend,
-            &caches,
-            Tensor::from_vec(&[xs.len(), classes], d_logits),
-        );
-        (losses, grads)
+        let (losses, grads) = BatchModel::<f64>::new(self).per_example_grads(backend, xs, labels);
+        (
+            losses,
+            Tensor::from_vec(&[xs.len(), self.param_count()], grads),
+        )
     }
 
     /// Loss and flat parameter gradient for a single labelled example —

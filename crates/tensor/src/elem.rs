@@ -7,6 +7,8 @@
 //! written once against [`Elem`]; the trait's gemm hooks route each type to
 //! its own dispatched (SIMD or scalar) microkernel.
 
+use std::borrow::Cow;
+
 use crate::backend::Backend;
 use crate::conv::Conv2dDims;
 use crate::ops;
@@ -38,6 +40,9 @@ pub trait Elem:
     fn from_f64(v: f64) -> Self;
     /// Widening conversion to `f64` (exact for `f32`).
     fn to_f64(self) -> f64;
+    /// An `f64` slice at this element type: borrowed as is for `f64`,
+    /// narrowed element by element into a new buffer for `f32`.
+    fn from_f64_slice(v: &[f64]) -> Cow<'_, [Self]>;
 
     /// Dispatched accumulating gemm `C += A·B` for this element type.
     fn matmul_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize);
@@ -82,6 +87,10 @@ impl Elem for f64 {
     #[inline]
     fn to_f64(self) -> f64 {
         self
+    }
+
+    fn from_f64_slice(v: &[f64]) -> Cow<'_, [Self]> {
+        Cow::Borrowed(v)
     }
 
     #[inline]
@@ -138,6 +147,10 @@ impl Elem for f32 {
     #[inline]
     fn to_f64(self) -> f64 {
         f64::from(self)
+    }
+
+    fn from_f64_slice(v: &[f64]) -> Cow<'_, [Self]> {
+        Cow::Owned(v.iter().map(|&x| x as f32).collect())
     }
 
     #[inline]

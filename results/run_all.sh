@@ -48,9 +48,10 @@ mkdir -p results/obs
 ./target/release/dpaudit watch \
   --store results/obs/mnist_audit.jsonl --trace results/obs/mnist_trace.jsonl \
   --max-ticks 1 --interval-ms 1 > results/obs/mnist_watch.txt 2>&1 && echo "done obs watch"
-# Batched-pipeline throughput across kernel variants: per-example oracle,
-# batched clip loop at scalar/SIMD x f64/f32, chunk-parallel SIMD (f64
-# sums asserted bit-identical, f32 within tolerance; ratios are pure speed).
+# One step's clipped-sum throughput across kernel variants: chunked at
+# scalar/SIMD x f64/f32, chunk-parallel SIMD, drawn (per example) f64/f32
+# (f64 sums asserted bit-identical to their oracles, f32 within tolerance;
+# ratios are pure speed).
 # Build bench_step with `--features blas` beforehand to also record one
 # f64 + one f32 row per non-native gemm backend (tolerance-gated inline).
 ./target/release/bench_step > results/BENCH_step.json 2>results/BENCH_step.log && echo "done bench_step"
