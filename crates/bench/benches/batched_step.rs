@@ -10,7 +10,7 @@ use dpaudit_bench::Workload;
 use dpaudit_dpsgd::{Batch, ClippingStrategy, ComputeMode, StepExec};
 use dpaudit_math::{axpy, seeded_rng};
 use dpaudit_nn::Sequential;
-use dpaudit_tensor::{Backend, Tensor};
+use dpaudit_tensor::Tensor;
 
 const TRAIN: usize = 32;
 
@@ -46,7 +46,7 @@ fn bench_batched_step(c: &mut Criterion) {
     let clipping = ClippingStrategy::Flat(3.0);
     let layout = model.param_layout();
     let all: Vec<usize> = (0..xs.len()).collect();
-    let exec = |threads| StepExec::new(ComputeMode::F64, Backend::native()).with_threads(threads);
+    let exec = |threads| StepExec::new(ComputeMode::F64).with_threads(threads);
     let (serial, parallel) = (exec(1), exec(0));
 
     let mut g = c.benchmark_group("batched_step");

@@ -1,8 +1,7 @@
 //! Throughput probe for one DPSGD step's clipped-gradient sum
 //! (`StepExec::clip_sum`) across kernel variants: the full batch in chunks
 //! at scalar/SIMD × f64/f32, the chunk-parallel SIMD sum, the drawn
-//! (Poisson-style, one example at a time) sum at f64/f32, and — when
-//! compiled in — every non-native gemm backend at f64/f32, per workload,
+//! (Poisson-style, one example at a time) sum at f64/f32, per workload,
 //! emitted as a JSON blob (`results/run_all.sh` captures it as
 //! `results/BENCH_step.json`).
 //!
@@ -13,14 +12,14 @@
 //! sums must be bit-identical (the accumulation-chain contract), the drawn
 //! f64 sum must equal the in-order sum of clipped scalar-oracle gradients
 //! bit for bit and agree with the chunked sum within 1e-9 (sequential vs
-//! chunked reduction order), and the f32 and non-native-backend sums must
-//! track the f64 native oracle within a relative tolerance — so every ratio
-//! reported here is pure speed.
+//! chunked reduction order), and the f32 sums must track the f64 oracle
+//! within a relative tolerance — so every ratio reported here is pure
+//! speed.
 
 use dpaudit_bench::Workload;
 use dpaudit_dpsgd::{Batch, ClippingStrategy, ComputeMode, StepExec};
 use dpaudit_math::{axpy, seeded_rng};
-use dpaudit_tensor::{kernel_backend, set_force_scalar, Backend};
+use dpaudit_tensor::{kernel_backend, set_force_scalar};
 use std::time::Instant;
 
 const TRAIN: usize = 64;
@@ -65,14 +64,10 @@ fn measure(workload: Workload) -> serde_json::Value {
     // One step's clipped sum through the single entry point. Each exec is
     // built outside the timed closures, so the parallel row (threads 0 =
     // the machine's parallelism) reuses one pool like a training run does.
-    let exec = |compute, backend| StepExec::new(compute, backend).with_threads(1);
+    let exec = |compute| StepExec::new(compute).with_threads(1);
     let step = |exec: &StepExec, batch| exec.clip_sum(&model, xs, ys, batch, &clipping).clean_sum;
-    let native = Backend::native();
-    let (f64_exec, f32_exec) = (
-        exec(ComputeMode::F64, native),
-        exec(ComputeMode::F32, native),
-    );
-    let parallel_exec = StepExec::new(ComputeMode::F64, native).with_threads(0);
+    let (f64_exec, f32_exec) = (exec(ComputeMode::F64), exec(ComputeMode::F32));
+    let parallel_exec = StepExec::new(ComputeMode::F64).with_threads(0);
     let (full, drawn) = (Batch::Full, Batch::Drawn(&all));
 
     // Scalar tiles pinned: the scalar oracle and the speedup baseline.
@@ -94,20 +89,6 @@ fn measure(workload: Workload) -> serde_json::Value {
     let (parallel, parallel_sum) = throughput(|| step(&parallel_exec, full));
     let (f64_drawn, f64_drawn_sum) = throughput(|| step(&f64_exec, drawn));
     let (f32_drawn, f32_drawn_sum) = throughput(|| step(&f32_exec, drawn));
-
-    // Non-native gemm backends compiled into this binary (e.g. a blas
-    // build): one f64 and one f32 row each, tolerance-checked against the
-    // native oracle below.
-    let mut backend_rows: Vec<(String, f64, Vec<f64>)> = Vec::new();
-    for backend in Backend::compiled() {
-        if backend == native {
-            continue;
-        }
-        let (f64_rate, f64_sum) = throughput(|| step(&exec(ComputeMode::F64, backend), full));
-        let (f32_rate, f32_sum) = throughput(|| step(&exec(ComputeMode::F32, backend), full));
-        backend_rows.push((format!("batched_f64_{}", backend.name()), f64_rate, f64_sum));
-        backend_rows.push((format!("batched_f32_{}", backend.name()), f32_rate, f32_sum));
-    }
 
     // Determinism contract: every f64 variant of the chunked reduction is
     // bit-identical; the drawn sum is the in-order scalar-oracle sum, and
@@ -150,39 +131,26 @@ fn measure(workload: Workload) -> serde_json::Value {
         );
     }
 
-    // Non-native backends are tolerance-gated against the native oracle:
-    // tight for f64 rows (same precision, different summation tree), the
-    // f32 band for f32 rows.
-    for (label, _, sum) in &backend_rows {
-        let tol = if label.contains("f64") { 1e-9 } else { 1e-3 };
-        let worst = worst_abs_diff(sum, &f64_scalar_sum);
-        assert!(
-            worst < tol * scale,
-            "{label} sum drifted from the native f64 oracle: {worst} (scale {scale})"
-        );
-    }
-
-    let mut rates = vec![
-        ("batched_f64_scalar".to_string(), f64_scalar),
-        ("batched_f64_simd".to_string(), f64_simd),
-        ("batched_f32_scalar".to_string(), f32_scalar),
-        ("batched_f32_simd".to_string(), f32_simd),
-        ("parallel_f64_simd".to_string(), parallel),
-        ("drawn_f64_simd".to_string(), f64_drawn),
-        ("drawn_f32_simd".to_string(), f32_drawn),
+    let rates = [
+        ("batched_f64_scalar", f64_scalar),
+        ("batched_f64_simd", f64_simd),
+        ("batched_f32_scalar", f32_scalar),
+        ("batched_f32_simd", f32_simd),
+        ("parallel_f64_simd", parallel),
+        ("drawn_f64_simd", f64_drawn),
+        ("drawn_f32_simd", f32_drawn),
     ];
-    rates.extend(backend_rows.iter().map(|(l, r, _)| (l.clone(), *r)));
     let examples_per_sec: serde_json::Value = serde_json::Value::Object(
         rates
             .iter()
-            .map(|(l, r)| (l.clone(), serde_json::json!(*r)))
+            .map(|(l, r)| (l.to_string(), serde_json::json!(*r)))
             .collect(),
     );
     let speedups: serde_json::Value = serde_json::Value::Object(
         rates
             .iter()
-            .filter(|(l, _)| l != "batched_f64_scalar")
-            .map(|(l, r)| (l.clone(), serde_json::json!(*r / f64_scalar)))
+            .filter(|(l, _)| *l != "batched_f64_scalar")
+            .map(|(l, r)| (l.to_string(), serde_json::json!(*r / f64_scalar)))
             .collect(),
     );
 
@@ -201,16 +169,11 @@ fn main() {
         .into_iter()
         .map(measure)
         .collect();
-    let gemm_backends: Vec<serde_json::Value> = Backend::compiled()
-        .into_iter()
-        .map(|b| serde_json::json!({ "name": b.name(), "capabilities": b.capabilities() }))
-        .collect();
     let blob = serde_json::json!({
         "train_size": TRAIN,
         "iters": ITERS,
         "cores": cores,
         "backend": kernel_backend(),
-        "gemm_backends": gemm_backends,
         "runs": runs,
     });
     println!(

@@ -42,10 +42,6 @@ pub fn run(opts: &Opts) -> Result<String, String> {
     if let Some(sub) = &opts.subaction {
         return match opts.command.as_str() {
             "audit" => crate::engine::run_subaction(sub, opts),
-            "backend" => match sub.as_str() {
-                "list" => Ok(cmd_backend_list()),
-                other => Err(format!("unknown backend sub-action `{other}` (list)")),
-            },
             "fabric" => crate::fabric::run_subaction(sub, opts),
             "metrics" => crate::metrics::run_subaction(sub, opts),
             "trace" => crate::trace::run_subaction(sub, opts),
@@ -60,7 +56,6 @@ pub fn run(opts: &Opts) -> Result<String, String> {
         "calibrate" => cmd_calibrate(opts),
         "compose" => cmd_compose(opts),
         "audit" => cmd_audit(opts),
-        "backend" => Err("`backend` needs a sub-action: `dpaudit backend list`".to_string()),
         "fabric" => Err(
             "`fabric` needs a sub-action: `dpaudit fabric serve | work | status | watch | merge`"
                 .to_string(),
@@ -243,40 +238,6 @@ fn cmd_audit(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// `dpaudit backend list`: every gemm compute backend compiled into this
-/// binary, with its capability string and equivalence guarantee. The table
-/// is rendered with the same column-width convention as the generated
-/// per-command flag help ([`crate::spec::render_help`]).
-fn cmd_backend_list() -> String {
-    let backends = dpaudit_tensor::Backend::compiled();
-    let mut out = String::from("compute backends compiled into this binary:\n\n");
-    let width = backends
-        .iter()
-        .map(|b| b.name().len())
-        .max()
-        .unwrap_or(0)
-        .max("BACKEND".len());
-    let _ = writeln!(out, "  {:<w$}  CAPABILITIES", "BACKEND", w = width + 2);
-    for backend in &backends {
-        let _ = writeln!(
-            out,
-            "  {:<w$}  {}",
-            backend.name(),
-            backend.capabilities(),
-            w = width + 2,
-        );
-    }
-    out.push_str(
-        "\nnative is the byte-stability oracle: bit-identical across thread \
-         counts and resumes.\nother backends are tolerance-gated against it \
-         (select per run with `audit run --backend`).\n",
-    );
-    if backends.len() == 1 {
-        out.push_str("rebuild with `--features blas` to compile in the BLAS backend.\n");
-    }
-    out
-}
-
 fn cmd_demo(opts: &Opts) -> Result<String, String> {
     let workload = opts.str_opt("workload").unwrap_or("purchase");
     let reps = opts.usize_or("reps", 10)?;
@@ -397,25 +358,6 @@ mod tests {
         assert!(run_line(&["bogus"])
             .unwrap_err()
             .contains("unknown command"));
-    }
-
-    #[test]
-    fn backend_list_names_every_compiled_backend() {
-        let out = run_line(&["backend", "list"]).unwrap();
-        assert!(out.contains("native"), "{out}");
-        assert!(out.contains("byte-stability oracle"), "{out}");
-        assert!(out.contains("tolerance-gated"), "{out}");
-        // The listing mirrors exactly what the registry compiled in: a
-        // default build carries the rebuild hint, a blas build lists blas.
-        if dpaudit_tensor::Backend::resolve("blas").is_ok() {
-            assert!(out.contains("blas"), "{out}");
-        } else {
-            assert!(out.contains("rebuild with `--features blas`"), "{out}");
-        }
-        let err = run_line(&["backend"]).unwrap_err();
-        assert!(err.contains("sub-action"), "{err}");
-        let err = run_line(&["backend", "bogus"]).unwrap_err();
-        assert!(err.contains("unknown backend sub-action"), "{err}");
     }
 
     #[test]
@@ -867,6 +809,48 @@ mod tests {
         assert!(help.contains("--fresh"), "{help}");
         let top = run_line(&["help"]).unwrap();
         assert!(top.contains("metrics report"), "{top}");
+    }
+
+    #[test]
+    fn a_blas_store_is_reported_but_never_resumed() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
+        let dir = std::env::temp_dir().join("dpaudit-cli-blas-store");
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("blas.jsonl");
+        let _ = std::fs::remove_file(&store);
+        let store_s = store.to_str().unwrap();
+        let run = [
+            "audit",
+            "run",
+            "--workload",
+            "purchase",
+            "--reps",
+            "2",
+            "--steps",
+            "2",
+            "--train-size",
+            "30",
+            "--out",
+            store_s,
+        ];
+        run_line(&run).unwrap();
+        // Flip the header to stand in for a store from an older blas build.
+        let text = std::fs::read_to_string(&store).unwrap();
+        let flipped = text.replacen("\"backend\":\"Native\"", "\"backend\":\"Blas\"", 1);
+        assert_ne!(text, flipped, "header should record the backend");
+        std::fs::write(&store, flipped).unwrap();
+
+        let report = run_line(&["audit", "report", "--store", store_s]).unwrap();
+        assert!(report.contains("audit:"), "{report}");
+        let merged = run_line(&["fabric", "merge", "--shards", store_s]).unwrap();
+        assert!(merged.contains("audit:"), "{merged}");
+        let err = run_line(&["audit", "resume", "--store", store_s]).unwrap_err();
+        assert!(err.contains("backend `blas` was removed"), "{err}");
+        let err = run_line(&[&run[..], &["--fresh", "--backend", "native"]].concat()).unwrap_err();
+        assert!(err.contains("unknown flag --backend"), "{err}");
+        std::fs::remove_file(&store).unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::opts::Opts;
 use dpaudit_bench::{arm_settings, param_row, Workload};
 use dpaudit_core::{AdversaryKind, ChallengeMode, RecordDetail, Sampling};
 use dpaudit_dp::{NeighborMode, RdpAccountant};
-use dpaudit_dpsgd::{BackendChoice, ComputeMode, NeighborPair, SensitivityScaling};
+use dpaudit_dpsgd::{ComputeMode, NeighborPair, SensitivityScaling};
 use dpaudit_obs::{self as obs, JsonlSink, MetricsRegistry, MultiSink, Sink};
 use dpaudit_runtime::{
     render_partial, render_report, replay_store, AuditSession, Parallelism, Progress, Seed,
@@ -71,7 +71,6 @@ pub(crate) fn header_from_opts(opts: &Opts) -> Result<StoreHeader, String> {
     let row = param_row(rho_beta, workload.delta());
     let mut settings = arm_settings(&row, steps, scaling, mode, challenge);
     settings.dpsgd.compute = parse_compute(opts.str_opt("compute").unwrap_or("f64"))?;
-    settings.dpsgd.backend = parse_backend(opts.str_opt("backend").unwrap_or("native"))?;
     settings.adversary = adversary;
     settings.sampling = sampling;
     // Under Poisson subsampling the noise multiplier calibrated for the
@@ -128,21 +127,6 @@ fn cmd_resume(opts: &Opts) -> Result<String, String> {
     let parallelism = parse_parallelism(opts)?;
     let session =
         AuditSession::resume(Path::new(store)).map_err(|e| format!("cannot resume store: {e}"))?;
-    // The backend is part of the batch definition: the remaining trials
-    // must run on the backend the store was recorded with, or the resumed
-    // report would mix accumulation orders. Reject an explicit conflicting
-    // override instead of silently ignoring it.
-    if let Some(name) = opts.str_opt("backend") {
-        let requested = parse_backend(name)?;
-        let recorded = session.header().settings.dpsgd.backend;
-        if requested != recorded {
-            return Err(format!(
-                "store {store} was recorded with backend `{recorded}`; resuming with \
-                 --backend {requested} would not be bit-identical. Re-run with \
-                 `audit run --fresh --backend {requested}` to start a new batch"
-            ));
-        }
-    }
     let done = session.header().reps - session.missing_indices().len();
     eprintln!(
         "resuming {}: {done}/{} trials already stored",
@@ -384,20 +368,6 @@ fn parse_compute(name: &str) -> Result<ComputeMode, String> {
     }
 }
 
-/// Parse `--backend`, checking the choice against what this binary was
-/// compiled with: naming a known-but-absent backend reports the rebuild
-/// hint from [`dpaudit_tensor::Backend::resolve`] instead of failing later
-/// at session creation.
-fn parse_backend(name: &str) -> Result<BackendChoice, String> {
-    let choice = match name.to_ascii_lowercase().as_str() {
-        "native" => BackendChoice::Native,
-        "blas" => BackendChoice::Blas,
-        other => return Err(format!("unknown --backend `{other}` (native|blas)")),
-    };
-    choice.resolve()?;
-    Ok(choice)
-}
-
 fn parse_detail(name: &str) -> Result<RecordDetail, String> {
     match name.to_ascii_lowercase().as_str() {
         "full" => Ok(RecordDetail::Full),
@@ -422,23 +392,6 @@ mod tests {
         let (head, body) = response.split_once("\r\n\r\n").unwrap();
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         body.to_string()
-    }
-
-    #[test]
-    fn parse_backend_maps_names_and_rejects_what_is_not_compiled_in() {
-        assert_eq!(parse_backend("native").unwrap(), BackendChoice::Native);
-        assert_eq!(parse_backend("NATIVE").unwrap(), BackendChoice::Native);
-        let err = parse_backend("bogus").unwrap_err();
-        assert!(err.contains("unknown --backend `bogus`"), "{err}");
-        // `blas` is a known name either way; whether it parses depends only
-        // on what this binary was compiled with.
-        match parse_backend("blas") {
-            Ok(choice) => assert_eq!(choice, BackendChoice::Blas),
-            Err(err) => {
-                assert!(err.contains("not compiled into this binary"), "{err}");
-                assert!(err.contains("--features blas"), "{err}");
-            }
-        }
     }
 
     #[test]

@@ -150,8 +150,8 @@ impl fabric::JobRunner for EngineRunner {
         let plan = ExecPlan::for_header(header, self.parallelism);
         // A worker must execute the job's recorded backend, not whatever it
         // has: shards from a different accumulation order would poison the
-        // coordinator's deterministic merge. Refuse up front with the
-        // rebuild hint instead of panicking mid-trial.
+        // coordinator's deterministic merge. Refuse a removed backend up
+        // front with a typed error.
         header.settings.dpsgd.backend.resolve().map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -484,6 +484,43 @@ mod tests {
         let err =
             run_subaction("merge", &parse(&["fabric", "merge", "--shards", " , ,"])).unwrap_err();
         assert!(err.contains("at least one path"), "{err}");
+    }
+
+    #[test]
+    fn worker_refuses_a_job_recorded_with_the_removed_blas_backend() {
+        use dpaudit_runtime::{FnSink, LocalSource};
+        let mut header = header_from_opts(&parse(&[
+            "fabric",
+            "serve",
+            "--workload",
+            "purchase",
+            "--reps",
+            "2",
+            "--train-size",
+            "30",
+        ]))
+        .unwrap();
+        header.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Blas;
+        let mut runner = EngineRunner {
+            parallelism: Parallelism {
+                trial_threads: 1,
+                batch_threads: 1,
+            },
+        };
+        let mut sink = FnSink(|_| panic!("no trial may run for a blas job"));
+        let err = fabric::JobRunner::run_job(
+            &mut runner,
+            "blas-job",
+            &header,
+            &mut LocalSource::new(vec![0, 1]),
+            &mut sink,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("backend `blas` was removed"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -164,12 +164,6 @@ pub const COMMANDS: &[CommandSpec] = &[
                 "P",
                 "gradient storage precision: f64 (bit-reproducible) | f32 (fast) [f64]",
             ),
-            opt(
-                "backend",
-                "B",
-                "gemm compute backend: native (bit-stable oracle) | blas (needs \
-                 the `blas` build feature) [native]",
-            ),
             opt("seed", "S", "master seed [42]"),
             opt(
                 "threads",
@@ -212,12 +206,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         summary: "finish the missing trials of an interrupted store bit-identically",
         flags: &[
             req("store", "FILE", "trial store to resume"),
-            opt(
-                "backend",
-                "B",
-                "assert the store's recorded gemm backend; a conflicting value \
-                 is refused instead of breaking bit-identical resume",
-            ),
             opt(
                 "threads",
                 "N",
@@ -313,12 +301,6 @@ pub const COMMANDS: &[CommandSpec] = &[
                 "compute",
                 "P",
                 "gradient storage precision: f64 (bit-reproducible) | f32 (fast) [f64]",
-            ),
-            opt(
-                "backend",
-                "B",
-                "gemm compute backend: native (bit-stable oracle) | blas (needs \
-                 the `blas` build feature) [native]",
             ),
             opt("seed", "S", "master seed [42]"),
             opt("train-size", "N", "training-set size [workload default]"),
@@ -495,13 +477,6 @@ pub const COMMANDS: &[CommandSpec] = &[
                 "print an alert when eps' crosses E [store target eps]",
             ),
         ],
-    },
-    CommandSpec {
-        command: "backend",
-        subaction: Some("list"),
-        summary: "list the gemm compute backends compiled into this binary, \
-                  with their capabilities and equivalence guarantees",
-        flags: &[],
     },
     CommandSpec {
         command: "demo",

@@ -141,7 +141,6 @@ pub struct TrialSettingsBuilder {
     optimizer: Optimizer,
     ls_floor: Option<f64>,
     compute: ComputeMode,
-    backend: BackendChoice,
     challenge: ChallengeMode,
     adversary: AdversaryKind,
     sampling: Sampling,
@@ -160,7 +159,6 @@ impl Default for TrialSettingsBuilder {
             optimizer: Optimizer::Sgd,
             ls_floor: None,
             compute: ComputeMode::F64,
-            backend: BackendChoice::Native,
             challenge: ChallengeMode::RandomBit,
             adversary: AdversaryKind::GaussianBelief,
             sampling: Sampling::FullBatch,
@@ -244,15 +242,6 @@ impl TrialSettingsBuilder {
     #[must_use]
     pub fn compute(mut self, compute: ComputeMode) -> Self {
         self.compute = compute;
-        self
-    }
-
-    /// Compute backend for the gradient gemms (native default; alternative
-    /// backends trade bit-reproducibility for platform kernels and are
-    /// gated by the tolerance-equivalence suite).
-    #[must_use]
-    pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -354,7 +343,7 @@ impl TrialSettingsBuilder {
                 optimizer: self.optimizer,
                 ls_floor,
                 compute: self.compute,
-                backend: self.backend,
+                backend: BackendChoice::Native,
             },
             challenge: self.challenge,
             adversary: self.adversary,
@@ -741,19 +730,6 @@ mod tests {
         let parsed: TrialSettings = serde_json::from_str(&legacy).unwrap();
         assert_eq!(parsed, current);
         assert_eq!(parsed.dpsgd.backend, BackendChoice::Native);
-    }
-
-    #[test]
-    fn backend_choice_round_trips_through_the_builder() {
-        let s = TrialSettings::builder()
-            .backend(BackendChoice::Blas)
-            .build()
-            .unwrap();
-        assert_eq!(s.dpsgd.backend, BackendChoice::Blas);
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("\"backend\":\"Blas\""), "{json}");
-        let back: TrialSettings = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]

@@ -55,49 +55,45 @@ impl std::fmt::Display for ComputeMode {
     }
 }
 
-/// Which compute backend serves the gemm-shaped hot path of the batched
-/// gradient pipeline.
+/// The gemm backend a run's header records.
 ///
-/// [`BackendChoice::Native`] (the default) is the in-tree scalar-tile +
-/// SIMD-dispatch kernels — the byte-stability oracle every determinism test
-/// pins. [`BackendChoice::Blas`] routes the gemms through an external CBLAS
-/// `dgemm`/`sgemm` (cargo feature `blas`); blocked BLAS kernels sum in a
-/// different order, so blas runs are tolerance-equivalent to the oracle, not
-/// bit-identical, and are opt-in per run. The choice is resolved to a
-/// [`dpaudit_tensor::Backend`] handle once per training run and recorded in
-/// the run's header.
+/// Every run computes on the native tensor kernels, the byte-stability
+/// oracle, and new headers record [`BackendChoice::Native`].
+/// [`BackendChoice::Blas`] is record-only: it names the CBLAS backend that
+/// older builds could opt into, kept so their stores still parse for
+/// reporting. Its trials summed in a different order, so
+/// [`BackendChoice::resolve`] refuses it rather than resume it natively.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum BackendChoice {
-    /// In-tree scalar/SIMD kernels (bit-reproducible oracle).
+    /// The in-tree scalar/SIMD kernels (bit-reproducible oracle).
     #[default]
     Native,
-    /// External CBLAS gemms (tolerance-equivalent, requires `--features blas`).
+    /// The removed CBLAS backend (read from old stores, never run).
     Blas,
 }
 
 impl BackendChoice {
-    /// The backend's header name, as accepted by
-    /// [`dpaudit_tensor::Backend::resolve`].
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendChoice::Native => "native",
-            BackendChoice::Blas => "blas",
-        }
-    }
-
-    /// Resolve to a compute-backend handle.
+    /// Check that this binary can run the recorded backend.
     ///
     /// # Errors
-    /// Errors when the backend is not compiled into this binary (the message
-    /// names the cargo feature that would enable it).
+    /// [`BackendChoice::Blas`]: the backend was removed, and running its
+    /// trials on the native kernels would not reproduce them.
     pub fn resolve(self) -> Result<dpaudit_tensor::Backend, String> {
-        dpaudit_tensor::Backend::resolve(self.name())
+        match self {
+            BackendChoice::Native => Ok(dpaudit_tensor::Backend),
+            BackendChoice::Blas => {
+                Err("backend `blas` was removed (only native remains)".to_string())
+            }
+        }
     }
 }
 
 impl std::fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        f.write_str(match self {
+            BackendChoice::Native => "native",
+            BackendChoice::Blas => "blas",
+        })
     }
 }
 
@@ -131,7 +127,7 @@ pub struct DpsgdConfig {
     /// Storage precision of the batched gradient pipeline (f64 default).
     #[serde(default)]
     pub compute: ComputeMode,
-    /// Compute backend for the gemm-shaped hot path (native default).
+    /// The gemm backend the header records (always native for new runs).
     #[serde(default)]
     pub backend: BackendChoice,
 }
@@ -323,10 +319,9 @@ mod tests {
     fn backend_defaults_to_native_and_resolves() {
         let c = cfg(NeighborMode::Bounded, SensitivityScaling::Global);
         assert_eq!(c.backend, BackendChoice::Native);
-        assert_eq!(
-            c.backend.resolve().unwrap(),
-            dpaudit_tensor::Backend::native()
-        );
+        c.backend.resolve().expect("native resolves");
+        let err = BackendChoice::Blas.resolve().unwrap_err();
+        assert!(err.contains("backend `blas` was removed"), "{err}");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   bytes of Poisson stores written before the trainers shared this path,
 //!   and a step's peak memory at one example's gradient row.
 //!
-//! Both run in the run's [`ComputeMode`] and compute [`Backend`]: f64 on
-//! the model's own parameters, f32 on a [`BatchModel`] view narrowed once
+//! Both run in the run's [`ComputeMode`] on the native tensor kernels: f64
+//! on the model's own parameters, f32 on a [`BatchModel`] view narrowed once
 //! per call, each f32 gradient value widened to f64 as it flows into the
 //! norm and the sum.
 //!
@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dpaudit_math::axpy;
 use dpaudit_nn::{BatchModel, Sequential};
 use dpaudit_obs as obs;
-use dpaudit_tensor::{Backend, Elem, Tensor};
+use dpaudit_tensor::{Elem, Tensor};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
@@ -94,31 +94,22 @@ impl ClipSum {
 }
 
 /// How one training run computes its steps' clipped-gradient sums: the
-/// storage precision, the compute backend (resolved once per run, so no
-/// registry lookup sits inside the step) and the intra-trial worker count.
-/// The pool itself is built on the first full batch that can use it.
+/// storage precision and the intra-trial worker count. The pool itself is
+/// built on the first full batch that can use it.
 pub struct StepExec {
     compute: ComputeMode,
-    backend: Backend,
     threads: usize,
     pool: OnceCell<Option<ThreadPool>>,
 }
 
 impl StepExec {
-    /// Sums in `compute` on `backend`, with the worker count of
-    /// [`set_batch_threads`].
-    pub fn new(compute: ComputeMode, backend: Backend) -> Self {
+    /// Sums in `compute`, with the worker count of [`set_batch_threads`].
+    pub fn new(compute: ComputeMode) -> Self {
         Self {
             compute,
-            backend,
             threads: batch_threads(),
             pool: OnceCell::new(),
         }
-    }
-
-    /// The f64 oracle on the native backend.
-    pub fn native() -> Self {
-        Self::new(ComputeMode::F64, Backend::native())
     }
 
     /// Override the worker count (same convention as [`set_batch_threads`]).
@@ -130,9 +121,9 @@ impl StepExec {
     /// The clipped-gradient sum of `batch` over the labelled set
     /// `(xs, ys)` at the model's current state: per-example gradients,
     /// clipped by `clipping` over the model's parameter layout, summed as
-    /// the module docs describe. On the native backend the f64 result is
-    /// bit-identical to clipping `per_example_grad_scalar` gradients and
-    /// summing them in the same order; f32 is tolerance-equivalent to it.
+    /// the module docs describe. The f64 result is bit-identical to
+    /// clipping `per_example_grad_scalar` gradients and summing them in the
+    /// same order; f32 is tolerance-equivalent to it.
     pub fn clip_sum(
         &self,
         model: &Sequential,
@@ -174,9 +165,8 @@ impl StepExec {
     ) -> ClipSum {
         let dim = view.param_count();
         let bound = clipping.total_bound();
-        let backend = self.backend;
         let add = |acc: &mut ClipSum, xs: &[Tensor], ys: &[usize]| {
-            let (losses, mut grads) = view.per_example_grads(backend, xs, ys);
+            let (losses, mut grads) = view.per_example_grads(xs, ys);
             for (row, loss) in grads.chunks_exact_mut(dim).zip(losses) {
                 if T::clip_add(clipping, row, layout, &mut acc.clean_sum) <= bound {
                     acc.unclipped += 1;
@@ -378,7 +368,7 @@ mod tests {
     }
 
     fn exec(compute: ComputeMode, threads: usize) -> StepExec {
-        StepExec::new(compute, Backend::native()).with_threads(threads)
+        StepExec::new(compute).with_threads(threads)
     }
 
     fn assert_same_bits(a: &ClipSum, b: &ClipSum) {
@@ -486,46 +476,6 @@ mod tests {
             for (i, (a, b)) in oracle.clean_sum.iter().zip(&f32_out.clean_sum).enumerate() {
                 let tol = 1e-4 * xs.len() as f64 + 1e-3 * a.abs();
                 assert!((a - b).abs() < tol, "{batch:?} clean_sum[{i}]: {a} vs {b}");
-            }
-        }
-    }
-
-    /// Tolerance-equivalence gate at the clip-sum level: the BLAS backend
-    /// must track the native oracle closely in both precisions, and must
-    /// preserve the integer clip count exactly (the tolerance is far below
-    /// the margin between any pre-clip norm and the bound in this setup).
-    #[cfg(feature = "blas")]
-    #[test]
-    fn blas_backend_clip_sum_tracks_native_within_tolerance() {
-        let (model, xs, ys) = setup(CLIP_CHUNK + 7);
-        let clipping = ClippingStrategy::Flat(0.7);
-        let blas = Backend::resolve("blas").unwrap();
-        for compute in [ComputeMode::F64, ComputeMode::F32] {
-            let oracle = exec(compute, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
-            let out = StepExec::new(compute, blas).with_threads(1).clip_sum(
-                &model,
-                &xs,
-                &ys,
-                Batch::Full,
-                &clipping,
-            );
-            assert_eq!(out.unclipped, oracle.unclipped, "{compute}");
-            let loss_tol = match compute {
-                ComputeMode::F64 => 1e-9 * xs.len() as f64,
-                ComputeMode::F32 => 1e-3 * xs.len() as f64,
-            };
-            assert!(
-                (oracle.loss_total - out.loss_total).abs() < loss_tol,
-                "{compute} loss: {} vs {}",
-                oracle.loss_total,
-                out.loss_total
-            );
-            for (i, (a, b)) in oracle.clean_sum.iter().zip(&out.clean_sum).enumerate() {
-                let tol = match compute {
-                    ComputeMode::F64 => 1e-9 * (1.0 + a.abs()),
-                    ComputeMode::F32 => 1e-4 * xs.len() as f64 + 1e-3 * a.abs(),
-                };
-                assert!((a - b).abs() < tol, "{compute} clean_sum[{i}]: {a} vs {b}");
             }
         }
     }

@@ -23,6 +23,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
+use crate::config::ComputeMode;
 use crate::exec::{Batch, StepExec};
 
 /// Configuration of a federated DPSGD run.
@@ -126,7 +127,7 @@ pub fn train_federated<R: Rng + ?Sized>(
     let dim = model.param_count();
     let bound = cfg.clipping.total_bound();
     let sigma = cfg.noise_multiplier * bound;
-    let exec = StepExec::native();
+    let exec = StepExec::new(ComputeMode::F64);
     let mut gauss = GaussianSampler::new();
     let mut accountant = RdpAccountant::new();
 

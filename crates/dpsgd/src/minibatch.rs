@@ -17,6 +17,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::clip::ClippingStrategy;
+use crate::config::ComputeMode;
 use crate::exec::{Batch, StepExec};
 
 /// Configuration of a mini-batch DPSGD run.
@@ -103,7 +104,7 @@ pub fn train_minibatch_dpsgd<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> MinibatchOutcome {
     assert!(!data.is_empty(), "train_minibatch_dpsgd: empty dataset");
-    let exec = StepExec::native();
+    let exec = StepExec::new(ComputeMode::F64);
     let bound = cfg.clipping.total_bound();
     let sigma = cfg.noise_multiplier * bound;
     let expected_batch = (cfg.sampling_rate * data.len() as f64).max(1.0);

@@ -135,15 +135,7 @@ fn run_steps<R: Rng + ?Sized>(
     let public_n = pair.d.len() as f64;
     let layout = model.param_layout();
     let mut gauss = GaussianSampler::new();
-    // Resolve the compute backend once per training run; every gemm below
-    // (clipped sum and differing-record gradients) routes through this
-    // handle. Callers are expected to have validated availability at
-    // session setup, so an unresolvable backend here is a programming error.
-    let backend = cfg
-        .backend
-        .resolve()
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let exec = StepExec::new(cfg.compute, backend);
+    let exec = StepExec::new(cfg.compute);
 
     // The clipping strategy in force; adaptive clipping mutates the flat
     // norm between steps.
@@ -177,10 +169,10 @@ fn run_steps<R: Rng + ?Sized>(
         // for the adversary's hypothesis centers (batch-conditional under
         // Poisson sampling) and the local-sensitivity estimate.
         let (x1, y1) = pair.x1();
-        let (_, mut grad_x1) = model.per_example_grad_on(backend, x1, y1);
+        let (_, mut grad_x1) = model.per_example_grad(x1, y1);
         clipping.clip(&mut grad_x1, &layout);
         let grad_x2 = pair.x2.as_ref().map(|(x2, y2)| {
-            let (_, mut g) = model.per_example_grad_on(backend, x2, *y2);
+            let (_, mut g) = model.per_example_grad(x2, *y2);
             clipping.clip(&mut g, &layout);
             g
         });
@@ -622,36 +614,6 @@ mod tests {
             "largest draw {largest_draw}"
         );
         assert_eq!(bits(&replay.params()), bits(&model.params()));
-    }
-
-    /// Tolerance-equivalence gate at the train-step level: a full training
-    /// run on the BLAS backend must track the native run (same seeds, so
-    /// identical noise draws) within a narrow relative band — the same shape
-    /// of guarantee the f32 compute mode carries against the f64 oracle.
-    #[cfg(feature = "blas")]
-    #[test]
-    fn blas_backend_training_tracks_native_within_tolerance() {
-        let (model, pair) = tiny_setup(21);
-        let c_native = cfg(SensitivityScaling::Global);
-        let mut c_blas = cfg(SensitivityScaling::Global);
-        c_blas.backend = crate::config::BackendChoice::Blas;
-        let mut m_native = model.clone();
-        let mut m_blas = model;
-        let t_native = train_collect(&mut m_native, &pair, true, &c_native, &mut seeded_rng(22));
-        let t_blas = train_collect(&mut m_blas, &pair, true, &c_blas, &mut seeded_rng(22));
-        for (sn, sb) in t_native.steps.iter().zip(&t_blas.steps) {
-            let err = l2_distance(&sn.clean_sum, &sb.clean_sum);
-            let scale = l2_norm(&sn.clean_sum).max(1.0);
-            assert!(
-                err < 1e-9 * scale,
-                "step {}: clean_sum drift {err} vs scale {scale}",
-                sn.step
-            );
-            assert!((sn.mean_loss - sb.mean_loss).abs() < 1e-9);
-            assert!((sn.local_sensitivity - sb.local_sensitivity).abs() < 1e-9);
-        }
-        let w_err = l2_distance(&m_native.params(), &m_blas.params());
-        assert!(w_err < 1e-9, "final weight drift {w_err}");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! [`BatchModel`] views a [`Sequential`]'s layers at an [`Elem`] type:
 //! f64 (the determinism oracle) borrows the model's parameters, and the f32
 //! storage mode narrows them once, when the view is built. Each kernel
-//! below is written once against [`Elem`] and a [`Backend`] handle, so the
-//! accumulation order per element type is defined in exactly one place. On
-//! [`Backend::native`] the f64 instantiation is bit-identical to the scalar
+//! below is written once against [`Elem`] and calls the tensor kernels
+//! ([`Elem::matmul_acc`], [`Elem::matmul_nt_acc`], [`im2col_into`])
+//! directly, so the accumulation order per element type is defined in
+//! exactly one place. The f64 instantiation is bit-identical to the scalar
 //! oracle [`Sequential::per_example_grad_scalar`]; f32 is
 //! tolerance-equivalent to it.
 //!
@@ -18,8 +19,8 @@
 use std::borrow::Cow;
 
 use dpaudit_tensor::{
-    conv2d_backward_input_into, conv2d_backward_params_on, conv2d_forward_gemm_on,
-    maxpool2d_backward, maxpool2d_forward, Backend, Conv2dDims, Elem, PoolDims, Tensor,
+    conv2d_backward_input_into, conv2d_backward_params_into, conv2d_forward_gemm_into, im2col_into,
+    maxpool2d_backward, maxpool2d_forward, Conv2dDims, Elem, PoolDims, Tensor,
 };
 
 use crate::layers::Layer;
@@ -76,20 +77,14 @@ impl<'a, T: Elem> BatchModel<'a, T> {
     }
 
     /// Losses and per-example flat parameter gradients for a labelled
-    /// batch, in one batched forward/backward pass with every gemm routed
-    /// through `backend`. Returns the per-example losses (the softmax
-    /// cross-entropy head runs in f64 on widened logits) and the
-    /// `[B, param_count]` gradient buffer at `T`, row `b` in the layout of
-    /// [`Sequential::params`].
+    /// batch, in one batched forward/backward pass. Returns the per-example
+    /// losses (the softmax cross-entropy head runs in f64 on widened
+    /// logits) and the `[B, param_count]` gradient buffer at `T`, row `b`
+    /// in the layout of [`Sequential::params`].
     ///
     /// # Panics
     /// Panics on an empty or ragged batch or a length mismatch.
-    pub fn per_example_grads(
-        &self,
-        backend: Backend,
-        xs: &[Tensor],
-        labels: &[usize],
-    ) -> (Vec<f64>, Vec<T>) {
+    pub fn per_example_grads(&self, xs: &[Tensor], labels: &[usize]) -> (Vec<f64>, Vec<T>) {
         assert_eq!(xs.len(), labels.len(), "per_example_grads: length mismatch");
         let first = xs.first().expect("per_example_grads: empty batch");
         let batch = xs.len();
@@ -102,7 +97,7 @@ impl<'a, T: Elem> BatchModel<'a, T> {
 
         let mut caches = Vec::with_capacity(self.layers.len());
         for (layer, params) in &self.layers {
-            let (out, cache) = forward(backend, layer, params, h, &mut shape, batch);
+            let (out, cache) = forward(layer, params, h, &mut shape, batch);
             caches.push(cache);
             h = out;
         }
@@ -129,7 +124,6 @@ impl<'a, T: Elem> BatchModel<'a, T> {
         for (idx, ((layer, params), cache)) in self.layers.iter().zip(caches).enumerate().rev() {
             offset -= layer.param_count();
             d = backward(
-                backend,
                 layer,
                 params,
                 cache,
@@ -171,7 +165,6 @@ fn layer_params<T: Elem>(layer: &Layer) -> Vec<Cow<'_, [T]>> {
 /// Forward one layer over the flat `[B, ...]` batch buffer, updating the
 /// per-example `shape`. Returns the output buffer and the backward cache.
 fn forward<T: Elem>(
-    backend: Backend,
     layer: &Layer,
     p: &[Cow<'_, [T]>],
     input: Vec<T>,
@@ -186,13 +179,13 @@ fn forward<T: Elem>(
                 [n],
                 "Dense: batched input must be [B, {n}], got [B, {shape:?}]"
             );
-            let y = dense_forward(backend, &input, &p[0], &p[1], batch, n, m);
+            let y = dense_forward(&input, &p[0], &p[1], batch, n, m);
             *shape = vec![m];
             (y, BatchCache::Dense { input })
         }
         Layer::Conv2d(c) => {
             let dims = c.dims_for_shape(shape);
-            let (out, patches) = conv_forward(backend, &input, &p[0], &p[1], &dims, batch);
+            let (out, patches) = conv_forward(&input, &p[0], &p[1], &dims, batch);
             *shape = vec![dims.out_channels, dims.out_h(), dims.out_w()];
             (out, BatchCache::Conv2d { patches, dims })
         }
@@ -231,7 +224,6 @@ fn forward<T: Elem>(
 /// layer when `need_d_in` is false.
 #[allow(clippy::too_many_arguments)]
 fn backward<T: Elem>(
-    backend: Backend,
     layer: &Layer,
     p: &[Cow<'_, [T]>],
     cache: BatchCache<T>,
@@ -243,7 +235,6 @@ fn backward<T: Elem>(
 ) -> Vec<T> {
     match (layer, cache) {
         (Layer::Dense(d), BatchCache::Dense { input }) => dense_backward(
-            backend,
             &d_out,
             &input,
             &p[0],
@@ -256,7 +247,7 @@ fn backward<T: Elem>(
             need_d_in,
         ),
         (Layer::Conv2d(_), BatchCache::Conv2d { patches, dims }) => conv_backward(
-            backend, &d_out, &patches, &p[0], &dims, flat, stride, offset, batch, need_d_in,
+            &d_out, &patches, &p[0], &dims, flat, stride, offset, batch, need_d_in,
         ),
         (Layer::BatchNorm2d(_), BatchCache::BatchNorm2d { normalized, plane }) => {
             batchnorm_backward(
@@ -285,7 +276,6 @@ fn backward<T: Elem>(
 /// add-after-matvec order). `input` is `[B, in_f]`, `weight` is
 /// `[out_f, in_f]`; returns `[B, out_f]`.
 fn dense_forward<T: Elem>(
-    backend: Backend,
     input: &[T],
     weight: &[T],
     bias: &[T],
@@ -294,7 +284,7 @@ fn dense_forward<T: Elem>(
     out_f: usize,
 ) -> Vec<T> {
     let mut y = vec![T::ZERO; batch * out_f];
-    T::matmul_nt_acc_on(backend, &mut y, input, weight, batch, in_f, out_f);
+    T::matmul_nt_acc(&mut y, input, weight, batch, in_f, out_f);
     for row in y.chunks_exact_mut(out_f) {
         for (yi, bi) in row.iter_mut().zip(bias) {
             *yi += *bi;
@@ -309,7 +299,6 @@ fn dense_forward<T: Elem>(
 /// the outer product `δ ⊗ x` followed by `δ`.
 #[allow(clippy::too_many_arguments)]
 fn dense_backward<T: Elem>(
-    backend: Backend,
     d_out: &[T],
     input: &[T],
     weight: &[T],
@@ -324,7 +313,7 @@ fn dense_backward<T: Elem>(
     let (n, m) = (in_f, out_f);
     let mut d_in = vec![T::ZERO; if need_d_in { batch * n } else { 0 }];
     if need_d_in {
-        T::matmul_acc_on(backend, &mut d_in, d_out, weight, batch, m, n);
+        T::matmul_acc(&mut d_in, d_out, weight, batch, m, n);
     }
     for (ex, (dy, x)) in d_out.chunks_exact(m).zip(input.chunks_exact(n)).enumerate() {
         let base = ex * stride + offset;
@@ -343,7 +332,6 @@ fn dense_backward<T: Elem>(
 /// forward gemm each, writing straight into slices of batch-sized buffers.
 /// Returns `(out, patches)` — the patch matrices are the backward cache.
 fn conv_forward<T: Elem>(
-    backend: Backend,
     input: &[T],
     kernels: &[T],
     bias: &[T],
@@ -359,8 +347,8 @@ fn conv_forward<T: Elem>(
         .zip(patches.chunks_exact_mut(rows * cols))
         .zip(out.chunks_exact_mut(dims.out_channels * rows))
     {
-        T::im2col_on(backend, ex, dims, p);
-        conv2d_forward_gemm_on(backend, p, kernels, bias, dims, o);
+        im2col_into(ex, dims, p);
+        conv2d_forward_gemm_into(p, kernels, bias, dims, o);
     }
     (out, patches)
 }
@@ -370,7 +358,6 @@ fn conv_forward<T: Elem>(
 /// gradient (the transposed convolution) computed only when `need_d_in`.
 #[allow(clippy::too_many_arguments)]
 fn conv_backward<T: Elem>(
-    backend: Backend,
     d_out: &[T],
     patches: &[T],
     kernels: &[T],
@@ -394,7 +381,7 @@ fn conv_backward<T: Elem>(
         let base = ex * stride + offset;
         let row = &mut flat[base..base + kernel_len + dims.out_channels];
         let (d_k, d_b) = row.split_at_mut(kernel_len);
-        conv2d_backward_params_on(backend, p, dy, dims, d_k, d_b);
+        conv2d_backward_params_into(p, dy, dims, d_k, d_b);
         if need_d_in {
             conv2d_backward_input_into(
                 kernels,
@@ -565,7 +552,7 @@ mod tests {
         let (losses64, grads64) = model.per_example_grads(xs, labels);
         let narrow = BatchModel::<f32>::new(model);
         assert_eq!(narrow.param_count(), model.param_count());
-        let (losses32, grads32) = narrow.per_example_grads(Backend::native(), xs, labels);
+        let (losses32, grads32) = narrow.per_example_grads(xs, labels);
         for (a, b) in losses64.iter().zip(&losses32) {
             assert!((a - b).abs() < 1e-4, "loss differs: {a} vs {b}");
         }
@@ -593,39 +580,6 @@ mod tests {
         assert_grads_close(&model, &xs, &labels);
     }
 
-    /// Layer-pipeline-level backend equivalence: the blas backend's
-    /// per-example gradients must track the native oracle within a
-    /// reassociation-scale tolerance, in both precisions.
-    #[cfg(feature = "blas")]
-    #[test]
-    fn blas_backend_grads_track_native_within_tolerance() {
-        let blas = Backend::resolve("blas").unwrap();
-        let model = tiny_cnn(5);
-        let xs: Vec<Tensor> = (0..5).map(|i| example(200 + i, &[1, 8, 8])).collect();
-        let labels = vec![2, 0, 1, 1, 2];
-
-        let (l_native, g_native) = model.per_example_grads(&xs, &labels);
-        let (l_blas, g_blas) = model.per_example_grads_on(blas, &xs, &labels);
-        for (a, b) in l_native.iter().zip(&l_blas) {
-            assert!((a - b).abs() < 1e-9, "f64 loss differs: {a} vs {b}");
-        }
-        for (i, (a, b)) in g_native.data().iter().zip(g_blas.data()).enumerate() {
-            let tol = 1e-9 * (1.0 + a.abs());
-            assert!((a - b).abs() < tol, "f64 grad[{i}] differs: {a} vs {b}");
-        }
-
-        let narrow = BatchModel::<f32>::new(&model);
-        let (_, s_native) = narrow.per_example_grads(Backend::native(), &xs, &labels);
-        let (_, s_blas) = narrow.per_example_grads(blas, &xs, &labels);
-        for (i, (a, b)) in s_native.iter().zip(&s_blas).enumerate() {
-            let tol = 1e-4 + 1e-3 * f64::from(a.abs());
-            assert!(
-                (f64::from(*a) - f64::from(*b)).abs() < tol,
-                "f32 grad[{i}] differs: {a} vs {b}"
-            );
-        }
-    }
-
     #[test]
     fn f32_batch_rows_match_single_example_runs() {
         // Row b of the batched result equals the B=1 run on example b —
@@ -634,11 +588,10 @@ mod tests {
         let narrow = BatchModel::<f32>::new(&model);
         let xs: Vec<Tensor> = (0..3).map(|i| example(300 + i, &[1, 8, 8])).collect();
         let labels = vec![0, 2, 1];
-        let native = Backend::native();
-        let (_, grads) = narrow.per_example_grads(native, &xs, &labels);
+        let (_, grads) = narrow.per_example_grads(&xs, &labels);
         let dim = narrow.param_count();
         for (b, (x, &y)) in xs.iter().zip(&labels).enumerate() {
-            let (_, solo) = narrow.per_example_grads(native, std::slice::from_ref(x), &[y]);
+            let (_, solo) = narrow.per_example_grads(std::slice::from_ref(x), &[y]);
             for (i, (batched, single)) in
                 grads[b * dim..(b + 1) * dim].iter().zip(&solo).enumerate()
             {

@@ -143,23 +143,22 @@ impl Sequential {
     /// # Panics
     /// Panics on an empty batch or a length mismatch.
     pub fn per_example_grads(&self, xs: &[Tensor], labels: &[usize]) -> (Vec<f64>, Tensor) {
-        self.per_example_grads_on(Backend::native(), xs, labels)
-    }
-
-    /// [`Sequential::per_example_grads`] with the gemms routed through a
-    /// [`Backend`] handle. On [`Backend::native`] the two are bit-identical;
-    /// other backends are tolerance-equivalent only.
-    pub fn per_example_grads_on(
-        &self,
-        backend: Backend,
-        xs: &[Tensor],
-        labels: &[usize],
-    ) -> (Vec<f64>, Tensor) {
-        let (losses, grads) = BatchModel::<f64>::new(self).per_example_grads(backend, xs, labels);
+        let (losses, grads) = BatchModel::<f64>::new(self).per_example_grads(xs, labels);
         (
             losses,
             Tensor::from_vec(&[xs.len(), self.param_count()], grads),
         )
+    }
+
+    /// [`Sequential::per_example_grads`] behind the [`Backend`] marker: a
+    /// forward kept only because the external benchmark still calls it.
+    pub fn per_example_grads_on(
+        &self,
+        _: Backend,
+        xs: &[Tensor],
+        labels: &[usize],
+    ) -> (Vec<f64>, Tensor) {
+        self.per_example_grads(xs, labels)
     }
 
     /// Loss and flat parameter gradient for a single labelled example —
@@ -170,16 +169,10 @@ impl Sequential {
         (losses[0], grads.into_vec())
     }
 
-    /// [`Sequential::per_example_grad`] with the gemms routed through a
-    /// [`Backend`] handle.
-    pub fn per_example_grad_on(
-        &self,
-        backend: Backend,
-        x: &Tensor,
-        label: usize,
-    ) -> (f64, Vec<f64>) {
-        let (losses, grads) = self.per_example_grads_on(backend, std::slice::from_ref(x), &[label]);
-        (losses[0], grads.into_vec())
+    /// [`Sequential::per_example_grad`] behind the [`Backend`] marker: a
+    /// forward kept only because the external benchmark still calls it.
+    pub fn per_example_grad_on(&self, _: Backend, x: &Tensor, label: usize) -> (f64, Vec<f64>) {
+        self.per_example_grad(x, label)
     }
 
     /// Single-example gradient on the original example-at-a-time path —

@@ -48,22 +48,22 @@ pub struct AuditSession {
     existing: Vec<TrialRecord>,
 }
 
-/// Reject a header whose recorded compute backend is not compiled into
-/// this binary, *before* any trial runs or any store byte is written.
+/// Reject a header whose recorded compute backend this binary cannot run,
+/// *before* any trial runs or any store byte is written.
 ///
 /// Trial records are a pure function of the seeds **and** the backend's
-/// floating-point accumulation order, so executing a `blas` store's missing
-/// trials on a native-only binary would silently break the bit-identical
+/// floating-point accumulation order, so running a `blas` store's missing
+/// trials on the native kernels would silently break the bit-identical
 /// resume guarantee. The error names the store schema version so operators
-/// can tell a feature mismatch from a corrupt store.
+/// can tell a removed backend from a corrupt store.
 fn check_backend(header: &StoreHeader) -> std::io::Result<()> {
     header.settings.dpsgd.backend.resolve().map_err(|e| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             format!(
-                "store (schema v{}) was recorded with backend `{}` but {e}; \
-                 resuming on a different backend would not be bit-identical",
-                header.schema_version, header.settings.dpsgd.backend,
+                "store (schema v{}): {e}; its trials would not be bit-identical \
+                 on another backend",
+                header.schema_version,
             ),
         )
     })?;
@@ -84,8 +84,8 @@ impl AuditSession {
     /// durably write the header.
     ///
     /// # Errors
-    /// I/O errors from store creation, or a header naming a compute backend
-    /// not compiled into this binary.
+    /// I/O errors from store creation, or a header naming a removed
+    /// compute backend.
     pub fn create(path: &Path, header: StoreHeader) -> std::io::Result<Self> {
         check_backend(&header)?;
         let store = TrialStore::create(path, &header)?;
@@ -102,8 +102,8 @@ impl AuditSession {
     ///
     /// # Errors
     /// I/O errors, corrupt stores, schema-version mismatches, or a store
-    /// recorded with a compute backend not compiled into this binary (the
-    /// missing trials could not be executed bit-identically).
+    /// recorded with a removed compute backend (the missing trials could
+    /// not be executed bit-identically).
     pub fn resume(path: &Path) -> std::io::Result<Self> {
         let contents = read_store(path)?;
         check_backend(&contents.header)?;
@@ -321,43 +321,43 @@ mod tests {
 
     #[test]
     fn blas_store_refuses_resume_on_a_native_only_binary() {
-        // A store recorded with `--backend blas` must not be created or
-        // resumed by a binary without the blas backend compiled in: the
-        // missing trials would silently run on a different accumulation
-        // order and break bit-identical resume. On a blas-enabled build the
-        // same header is accepted.
+        // The blas backend is gone, but stores it recorded still exist. They
+        // must parse (for reports), and neither create nor resume may run
+        // their trials on the native kernels: the records would silently
+        // follow a different accumulation order.
         let mut header = toy_header(2, RecordDetail::Summary);
         header.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Blas;
-        let blas_compiled = dpaudit_tensor::Backend::resolve("blas").is_ok();
         let dir = std::env::temp_dir().join(format!("dpaudit-backend-gate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("blas-store.jsonl");
 
-        let created = AuditSession::create(&path, header.clone());
-        if blas_compiled {
-            assert!(created.is_ok());
-            assert!(AuditSession::resume(&path).is_ok());
-        } else {
-            let err = created.err().expect("create must refuse a blas header");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-            let msg = err.to_string();
-            assert!(msg.contains("backend `blas`"), "{msg}");
-            assert!(msg.contains(&format!("schema v{SCHEMA_VERSION}")), "{msg}");
-            assert!(msg.contains("bit-identical"), "{msg}");
-            // Write the same store via a native header, then flip the
-            // recorded backend on disk to simulate a blas-built producer.
-            let mut native_header = header.clone();
-            native_header.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Native;
-            drop(AuditSession::create(&path, native_header).expect("native header is accepted"));
-            let text = std::fs::read_to_string(&path).unwrap();
-            let flipped = text.replace("\"backend\":\"Native\"", "\"backend\":\"Blas\"");
-            assert_ne!(text, flipped, "header should record the backend");
-            std::fs::write(&path, flipped).unwrap();
-            let err = AuditSession::resume(&path)
-                .err()
-                .expect("resume must refuse a blas store");
-            assert!(err.to_string().contains("backend `blas`"), "{err}");
-        }
+        let err = AuditSession::create(&path, header.clone())
+            .err()
+            .expect("create must refuse a blas header");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        assert!(msg.contains("backend `blas` was removed"), "{msg}");
+        assert!(msg.contains(&format!("schema v{SCHEMA_VERSION}")), "{msg}");
+        assert!(msg.contains("bit-identical"), "{msg}");
+
+        // Write the same store via a native header, then flip the recorded
+        // backend on disk to simulate a store from an older blas build.
+        header.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Native;
+        drop(AuditSession::create(&path, header).expect("native header is accepted"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let flipped = text.replace("\"backend\":\"Native\"", "\"backend\":\"Blas\"");
+        assert_ne!(text, flipped, "header should record the backend");
+        std::fs::write(&path, flipped).unwrap();
+        let contents = read_store(&path).expect("a blas store still parses");
+        assert_eq!(
+            contents.header.settings.dpsgd.backend,
+            dpaudit_dpsgd::BackendChoice::Blas
+        );
+        let err = AuditSession::resume(&path)
+            .err()
+            .expect("resume must refuse a blas store");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("removed"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,8 +14,8 @@
 //! allocating entry point has a `_into` twin writing into caller-owned
 //! scratch so the per-example batched loop stays allocation-free.
 
-use crate::backend::Backend;
 use crate::elem::Elem;
+use crate::Backend;
 
 /// Dimensions of one convolution application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,19 +182,6 @@ pub fn conv2d_forward_gemm_into<T: Elem>(
     dims: &Conv2dDims,
     out: &mut [T],
 ) {
-    conv2d_forward_gemm_on(Backend::native(), patches, kernels, bias, dims, out);
-}
-
-/// [`conv2d_forward_gemm_into`] with the gemm routed through a [`Backend`]
-/// handle. On [`Backend::native`] the two are bit-identical.
-pub fn conv2d_forward_gemm_on<T: Elem>(
-    backend: Backend,
-    patches: &[T],
-    kernels: &[T],
-    bias: &[T],
-    dims: &Conv2dDims,
-    out: &mut [T],
-) {
     let (rows, cols) = (dims.patch_rows(), dims.patch_cols());
     assert_eq!(
         patches.len(),
@@ -209,15 +196,21 @@ pub fn conv2d_forward_gemm_on<T: Elem>(
     for (oc, plane) in out.chunks_exact_mut(rows).enumerate() {
         plane.fill(bias[oc]);
     }
-    T::matmul_nt_acc_on(
-        backend,
-        out,
-        kernels,
-        patches,
-        dims.out_channels,
-        cols,
-        rows,
-    );
+    T::matmul_nt_acc(out, kernels, patches, dims.out_channels, cols, rows);
+}
+
+/// [`conv2d_forward_gemm_into`] behind the [`Backend`] marker: a forward
+/// kept only because the external benchmark still calls it. New code calls
+/// [`conv2d_forward_gemm_into`].
+pub fn conv2d_forward_gemm_on<T: Elem>(
+    _: Backend,
+    patches: &[T],
+    kernels: &[T],
+    bias: &[T],
+    dims: &Conv2dDims,
+    out: &mut [T],
+) {
+    conv2d_forward_gemm_into(patches, kernels, bias, dims, out);
 }
 
 /// Forward convolution as one gemm over a pre-lowered patch matrix:
@@ -251,19 +244,6 @@ pub fn conv2d_backward_params_into<T: Elem>(
     d_kernels: &mut [T],
     d_bias: &mut [T],
 ) {
-    conv2d_backward_params_on(Backend::native(), patches, d_out, dims, d_kernels, d_bias);
-}
-
-/// [`conv2d_backward_params_into`] with the gemm routed through a [`Backend`]
-/// handle. On [`Backend::native`] the two are bit-identical.
-pub fn conv2d_backward_params_on<T: Elem>(
-    backend: Backend,
-    patches: &[T],
-    d_out: &[T],
-    dims: &Conv2dDims,
-    d_kernels: &mut [T],
-    d_bias: &mut [T],
-) {
     let (rows, cols) = (dims.patch_rows(), dims.patch_cols());
     assert_eq!(
         d_out.len(),
@@ -286,15 +266,7 @@ pub fn conv2d_backward_params_on<T: Elem>(
         "conv2d_backward_params: d_bias length mismatch"
     );
     d_kernels.fill(T::ZERO);
-    T::matmul_acc_on(
-        backend,
-        d_kernels,
-        d_out,
-        patches,
-        dims.out_channels,
-        rows,
-        cols,
-    );
+    T::matmul_acc(d_kernels, d_out, patches, dims.out_channels, rows, cols);
     for (db, plane) in d_bias.iter_mut().zip(d_out.chunks_exact(rows)) {
         let mut acc = T::ZERO;
         for v in plane {

@@ -9,8 +9,6 @@
 
 use std::borrow::Cow;
 
-use crate::backend::Backend;
-use crate::conv::Conv2dDims;
 use crate::ops;
 
 /// A kernel element type: `f64` or `f32`.
@@ -48,31 +46,6 @@ pub trait Elem:
     fn matmul_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize);
     /// Dispatched accumulating gemm `C += A·Bᵀ` for this element type.
     fn matmul_nt_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize);
-
-    /// Backend-routed `C += A·B`: the same gemm through a [`Backend`] handle.
-    /// On [`Backend::native`] this is bit-identical to [`Elem::matmul_acc`].
-    fn matmul_acc_on(
-        backend: Backend,
-        c: &mut [Self],
-        a: &[Self],
-        b: &[Self],
-        m: usize,
-        k: usize,
-        n: usize,
-    );
-    /// Backend-routed `C += A·Bᵀ`.
-    fn matmul_nt_acc_on(
-        backend: Backend,
-        c: &mut [Self],
-        a: &[Self],
-        b: &[Self],
-        m: usize,
-        k: usize,
-        n: usize,
-    );
-
-    /// Backend-routed `im2col` lowering for this element type.
-    fn im2col_on(backend: Backend, input: &[Self], dims: &Conv2dDims, patches: &mut [Self]);
 }
 
 impl Elem for f64 {
@@ -102,37 +75,6 @@ impl Elem for f64 {
     fn matmul_nt_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
         ops::matmul_nt_acc(c, a, b, m, k, n);
     }
-
-    #[inline]
-    fn matmul_acc_on(
-        backend: Backend,
-        c: &mut [Self],
-        a: &[Self],
-        b: &[Self],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        backend.matmul_acc_f64(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn matmul_nt_acc_on(
-        backend: Backend,
-        c: &mut [Self],
-        a: &[Self],
-        b: &[Self],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        backend.matmul_nt_acc_f64(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn im2col_on(backend: Backend, input: &[Self], dims: &Conv2dDims, patches: &mut [Self]) {
-        backend.im2col_f64(input, dims, patches);
-    }
 }
 
 impl Elem for f32 {
@@ -161,36 +103,5 @@ impl Elem for f32 {
     #[inline]
     fn matmul_nt_acc(c: &mut [Self], a: &[Self], b: &[Self], m: usize, k: usize, n: usize) {
         ops::matmul_nt_acc_f32(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn matmul_acc_on(
-        backend: Backend,
-        c: &mut [Self],
-        a: &[Self],
-        b: &[Self],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        backend.matmul_acc_f32(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn matmul_nt_acc_on(
-        backend: Backend,
-        c: &mut [Self],
-        a: &[Self],
-        b: &[Self],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        backend.matmul_nt_acc_f32(c, a, b, m, k, n);
-    }
-
-    #[inline]
-    fn im2col_on(backend: Backend, input: &[Self], dims: &Conv2dDims, patches: &mut [Self]) {
-        backend.im2col_f32(input, dims, patches);
     }
 }

@@ -13,14 +13,10 @@
 //! tiles of [`ops::scalar`] as the universal fallback, and exist for both
 //! `f64` (the determinism oracle) and `f32` (the opt-in storage mode of the
 //! batched gradient pipeline); the compute routines are generic over
-//! [`Elem`].
-//!
-//! Above the raw entry points sits the [`backend`] seam: a [`Backend`] handle
-//! bundles the gemm + `im2col` surface so the batched pipeline can swap the
-//! native kernels for an external BLAS (cargo feature `blas`) per run, with
-//! the native path remaining the byte-stability oracle.
+//! [`Elem`]. These kernels are the only compute path: the batched pipeline
+//! calls [`Elem::matmul_acc`], [`Elem::matmul_nt_acc`] and [`im2col_into`]
+//! directly, and every store is a function of their accumulation order.
 
-pub mod backend;
 pub mod conv;
 pub mod elem;
 pub mod ops;
@@ -28,11 +24,10 @@ pub mod pool;
 pub mod simd;
 pub mod tensor;
 
-pub use backend::{backend_name, Backend, ComputeBackend, NativeBackend};
 pub use conv::{
     conv2d_backward, conv2d_backward_input, conv2d_backward_input_into, conv2d_backward_params,
-    conv2d_backward_params_into, conv2d_backward_params_on, conv2d_forward, conv2d_forward_gemm,
-    conv2d_forward_gemm_into, conv2d_forward_gemm_on, im2col, im2col_into, Conv2dDims,
+    conv2d_backward_params_into, conv2d_forward, conv2d_forward_gemm, conv2d_forward_gemm_into,
+    conv2d_forward_gemm_on, im2col, im2col_into, Conv2dDims,
 };
 pub use elem::Elem;
 pub use ops::{
@@ -42,3 +37,10 @@ pub use ops::{
 pub use pool::{maxpool2d_backward, maxpool2d_forward, PoolDims};
 pub use simd::{kernel_backend, set_force_scalar};
 pub use tensor::Tensor;
+
+/// A data-free marker, kept only so the benchmark's `*_on` calls compile:
+/// `BackendChoice::resolve` returns it, and [`conv2d_forward_gemm_on`] and
+/// `Sequential::per_example_grads_on` / `per_example_grad_on` ignore it.
+/// Every gemm runs on the native kernels; new code passes nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Backend;

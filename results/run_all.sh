@@ -52,7 +52,5 @@ mkdir -p results/obs
 # scalar/SIMD x f64/f32, chunk-parallel SIMD, drawn (per example) f64/f32
 # (f64 sums asserted bit-identical to their oracles, f32 within tolerance;
 # ratios are pure speed).
-# Build bench_step with `--features blas` beforehand to also record one
-# f64 + one f32 row per non-native gemm backend (tolerance-gated inline).
 ./target/release/bench_step > results/BENCH_step.json 2>results/BENCH_step.log && echo "done bench_step"
 echo ALL_RUNS_COMPLETE
