@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# Run the same small audits with two `dpaudit` binaries and compare their
+# trial stores byte for byte. The native f64 path's stores are a fixed
+# point: any change that moves one must do so on purpose.
+#
+# usage: bytes-vs-base.sh BASE_DPAUDIT HEAD_DPAUDIT [WORK_DIR]
+#
+# Covers mnist and purchase, each at full batch and Poisson-sampled
+# (`--sampling-q 0.3`), at `--threads 1` so records land in trial order.
+# Exits 1 if any pair of stores differs.
+set -euo pipefail
+
+if [ "$#" -lt 2 ]; then
+  echo "usage: $0 BASE_DPAUDIT HEAD_DPAUDIT [WORK_DIR]" >&2
+  exit 2
+fi
+base_bin=$1
+head_bin=$2
+work=${3:-bytes-vs-base}
+mkdir -p "$work"
+
+# audit BIN STORE FLAGS...: one audit into STORE; its progress goes to
+# STORE.log, shown only if the run fails.
+audit() {
+  local bin=$1 store=$2
+  shift 2
+  if ! "$bin" "$@" --out "$store" > "$store.report" 2> "$store.log"; then
+    cat "$store.log" >&2
+    exit 2
+  fi
+}
+
+status=0
+for workload in mnist purchase; do
+  for sampling in full 0.3; do
+    flags=(audit run --workload "$workload" --threads 1 --reps 4 --steps 4
+      --train-size 40 --fresh)
+    if [ "$sampling" != full ]; then
+      flags+=(--sampling-q "$sampling")
+    fi
+    name="${workload}_${sampling}"
+    audit "$base_bin" "$work/base_$name.jsonl" "${flags[@]}"
+    audit "$head_bin" "$work/head_$name.jsonl" "${flags[@]}"
+    if cmp "$work/base_$name.jsonl" "$work/head_$name.jsonl"; then
+      echo "same bytes: $workload, sampling $sampling"
+    else
+      echo "stores differ: $workload, sampling $sampling" >&2
+      status=1
+    fi
+  done
+done
+exit "$status"

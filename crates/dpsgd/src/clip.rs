@@ -1,5 +1,7 @@
 //! Per-example gradient clipping: flat, per-layer, and adaptive.
 
+use std::ops::Range;
+
 use dpaudit_math::l2_norm;
 use dpaudit_nn::Sequential;
 use dpaudit_tensor::Tensor;
@@ -91,6 +93,26 @@ impl ClippingStrategy {
     pub fn clip(&self, grad: &mut [f64], layout: &[usize]) -> f64 {
         match self {
             ClippingStrategy::Flat(c) => clip_to_norm(grad, *c),
+            ClippingStrategy::PerLayer(_) => {
+                let pre = l2_norm(grad);
+                for (c, seg) in self.segments(layout, grad.len()) {
+                    clip_to_norm(&mut grad[seg], c);
+                }
+                pre
+            }
+        }
+    }
+
+    /// Each clip norm with the range of the flat gradient it bounds: the
+    /// whole `dim`-long gradient for [`ClippingStrategy::Flat`], one range
+    /// per `layout` segment for [`ClippingStrategy::PerLayer`].
+    ///
+    /// # Panics
+    /// Panics when the per-layer norm count or segment lengths do not match
+    /// the gradient.
+    pub(crate) fn segments(&self, layout: &[usize], dim: usize) -> Vec<(f64, Range<usize>)> {
+        match self {
+            ClippingStrategy::Flat(c) => vec![(*c, 0..dim)],
             ClippingStrategy::PerLayer(cs) => {
                 assert_eq!(
                     cs.len(),
@@ -101,16 +123,17 @@ impl ClippingStrategy {
                 );
                 assert_eq!(
                     layout.iter().sum::<usize>(),
-                    grad.len(),
+                    dim,
                     "ClippingStrategy::PerLayer: layout does not cover the gradient"
                 );
-                let pre = l2_norm(grad);
                 let mut off = 0;
-                for (&c, &len) in cs.iter().zip(layout) {
-                    clip_to_norm(&mut grad[off..off + len], c);
-                    off += len;
-                }
-                pre
+                cs.iter()
+                    .zip(layout)
+                    .map(|(&c, &len)| {
+                        off += len;
+                        (c, off - len..off)
+                    })
+                    .collect()
             }
         }
     }

@@ -27,9 +27,10 @@
 //! any result — only how fast it arrives.
 
 use std::cell::OnceCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dpaudit_math::axpy;
+use dpaudit_math::{axpy, l2_norm};
 use dpaudit_nn::{BatchModel, Sequential};
 use dpaudit_obs as obs;
 use dpaudit_tensor::{Elem, Tensor};
@@ -166,9 +167,10 @@ impl StepExec {
         let dim = view.param_count();
         let bound = clipping.total_bound();
         let add = |acc: &mut ClipSum, xs: &[Tensor], ys: &[usize]| {
-            let (losses, mut grads) = view.per_example_grads(xs, ys);
-            for (row, loss) in grads.chunks_exact_mut(dim).zip(losses) {
-                if T::clip_add(clipping, row, layout, &mut acc.clean_sum) <= bound {
+            let (losses, grads) = view.per_example_grads(xs, ys);
+            let norms = T::clip_add(clipping, &grads, layout, &mut acc.clean_sum);
+            for (norm, loss) in norms.into_iter().zip(losses) {
+                if norm <= bound {
                     acc.unclipped += 1;
                 }
                 acc.loss_total += loss;
@@ -235,78 +237,121 @@ impl StepExec {
     }
 }
 
-/// Clip one per-example gradient row and add it into the f64 sum,
-/// returning the pre-clip norm — per element type.
+/// Clip each `sum.len()`-wide per-example gradient row of `grads` and add
+/// it into the f64 sum, returning the rows' pre-clip total norms — per
+/// element type. Both follow [`ClippingStrategy::clip`]'s semantics:
+/// `g ← g · min(1, C/‖g‖)` per flat or per-layer segment.
 trait ClipAdd: Elem {
     fn clip_add(
         clipping: &ClippingStrategy,
-        row: &mut [Self],
+        grads: &[Self],
         layout: &[usize],
         sum: &mut [f64],
-    ) -> f64;
+    ) -> Vec<f64>;
 }
 
-impl ClipAdd for f64 {
-    fn clip_add(
-        clipping: &ClippingStrategy,
-        row: &mut [f64],
-        layout: &[usize],
-        sum: &mut [f64],
-    ) -> f64 {
-        let pre_norm = clipping.clip(row, layout);
-        axpy(1.0, row, sum);
-        pre_norm
+/// `min(1, C/‖g‖)`: the factor that clips a gradient of norm `norm` to `c`.
+fn clip_factor(norm: f64, c: f64) -> f64 {
+    if norm > c {
+        c / norm
+    } else {
+        1.0
     }
 }
 
-/// The f32 fusion of [`ClippingStrategy::clip`] + `axpy`: each value is
-/// widened on the fly, so the norm, the clip scale and the sum all
+/// The f64 fusion of [`ClippingStrategy::clip`] + `axpy(1.0, …)` over a
+/// whole chunk: one pass takes every row's norms ([`row_norms`]), then each
+/// row joins the sum as `axpy(factor, row, sum)`, per flat norm or per-layer
+/// segment. Bit-identical to scaling the row in place and adding it with
+/// factor 1: IEEE multiplication commutes and `1.0·x` is exact. Each sum
+/// element still takes the rows in row order.
+impl ClipAdd for f64 {
+    fn clip_add(
+        clipping: &ClippingStrategy,
+        grads: &[f64],
+        layout: &[usize],
+        sum: &mut [f64],
+    ) -> Vec<f64> {
+        let dim = sum.len();
+        let norms = row_norms(grads, dim, 0..dim);
+        for (c, seg) in clipping.segments(layout, dim) {
+            // A segment spanning the row (flat clipping) has the total norms.
+            let seg_norms = if seg.len() == dim {
+                norms.clone()
+            } else {
+                row_norms(grads, dim, seg.clone())
+            };
+            for (row, norm) in grads.chunks_exact(dim).zip(seg_norms) {
+                axpy(
+                    clip_factor(norm, c),
+                    &row[seg.clone()],
+                    &mut sum[seg.clone()],
+                );
+            }
+        }
+        norms
+    }
+}
+
+/// ‖row[range]‖ of every `dim`-wide row of `grads`. One row's norm is a
+/// serial add chain (~10⁵ terms on the Purchase MLP) whose latency, not
+/// its arithmetic, sets its time, so four rows' chains advance side by
+/// side. Each row is still summed alone in ascending index order, so every
+/// norm equals `l2_norm(&row[range])` bit for bit.
+fn row_norms(grads: &[f64], dim: usize, range: Range<usize>) -> Vec<f64> {
+    let rows: Vec<&[f64]> = grads
+        .chunks_exact(dim)
+        .map(|row| &row[range.clone()])
+        .collect();
+    let mut norms = Vec::with_capacity(rows.len());
+    let mut quads = rows.chunks_exact(4);
+    for quad in &mut quads {
+        let mut acc = [0.0f64; 4];
+        for (((&a, &b), &c), &d) in quad[0].iter().zip(quad[1]).zip(quad[2]).zip(quad[3]) {
+            acc[0] += a * a;
+            acc[1] += b * b;
+            acc[2] += c * c;
+            acc[3] += d * d;
+        }
+        norms.extend(acc.map(f64::sqrt));
+    }
+    norms.extend(quads.remainder().iter().map(|row| l2_norm(row)));
+    norms
+}
+
+/// The f32 fusion of [`ClippingStrategy::clip`] + `axpy`, row by row: each
+/// value is widened on the fly, so the norm, the clip scale and the sum all
 /// accumulate in f64 without materialising an f64 copy of the row. The
-/// semantics match the f64 path (`g ← g · min(1, C/‖g‖)` per flat or
-/// per-layer segment, pre-clip *total* norm returned); only the reduction
-/// order of the norm differs, which the f32 mode's tolerance contract
-/// permits.
+/// semantics match the f64 path; only the reduction order of the norm
+/// differs, which the f32 mode's tolerance contract permits.
 impl ClipAdd for f32 {
     fn clip_add(
         clipping: &ClippingStrategy,
-        row: &mut [f32],
+        grads: &[f32],
         layout: &[usize],
         sum: &mut [f64],
-    ) -> f64 {
-        let factor = |norm: f64, c: f64| if norm > c { c / norm } else { 1.0 };
-        match clipping {
-            ClippingStrategy::Flat(c) => {
-                let norm = l2_norm_widened(row);
-                axpy_widened(factor(norm, *c), row, sum);
-                norm
-            }
-            ClippingStrategy::PerLayer(cs) => {
-                assert_eq!(
-                    cs.len(),
-                    layout.len(),
-                    "ClippingStrategy::PerLayer: {} norms for {} layers",
-                    cs.len(),
-                    layout.len()
-                );
-                assert_eq!(
-                    layout.iter().sum::<usize>(),
-                    row.len(),
-                    "ClippingStrategy::PerLayer: layout does not cover the gradient"
-                );
+    ) -> Vec<f64> {
+        let dim = sum.len();
+        let segments = clipping.segments(layout, dim);
+        grads
+            .chunks_exact(dim)
+            .map(|row| {
                 let pre = l2_norm_widened(row);
-                let mut off = 0;
-                for (&c, &len) in cs.iter().zip(layout) {
-                    let seg = &row[off..off + len];
+                for (c, seg) in &segments {
+                    let norm = if seg.len() == dim {
+                        pre
+                    } else {
+                        l2_norm_widened(&row[seg.clone()])
+                    };
                     axpy_widened(
-                        factor(l2_norm_widened(seg), c),
-                        seg,
-                        &mut sum[off..off + len],
+                        clip_factor(norm, *c),
+                        &row[seg.clone()],
+                        &mut sum[seg.clone()],
                     );
-                    off += len;
                 }
                 pre
-            }
-        }
+            })
+            .collect()
     }
 }
 
@@ -389,36 +434,75 @@ mod tests {
 
     #[test]
     fn full_batch_matches_chunked_scalar_oracle_bitwise() {
-        // More examples than one chunk, with a ragged tail.
-        let (model, xs, ys) = setup(CLIP_CHUNK * 2 + 5);
-        let clipping = ClippingStrategy::Flat(0.7);
+        // Two full chunks and a tail of six, which is not a multiple of the
+        // four rows whose norms advance together. The last example's logits
+        // saturate the softmax, so its gradient row is all zero.
+        let (model, mut xs, mut ys) = setup(CLIP_CHUNK * 2 + 5);
+        let saturating = Tensor::full(&[5], 1e5);
+        ys.push(model.predict(&saturating));
+        xs.push(saturating);
         let layout = model.param_layout();
-        let out = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+        let (_, zero_row) = model.per_example_grad_scalar(&xs[xs.len() - 1], ys[ys.len() - 1]);
+        assert!(zero_row.iter().all(|&g| g == 0.0));
 
-        // Chunked scalar oracle with the same fold order.
-        let bound = clipping.total_bound();
-        let mut expect = vec![0.0; model.param_count()];
-        let mut loss_total = 0.0;
-        let mut unclipped = 0;
-        for chunk in xs.chunks(CLIP_CHUNK).zip(ys.chunks(CLIP_CHUNK)) {
-            let mut partial = vec![0.0; model.param_count()];
-            let mut partial_loss = 0.0;
-            for (x, &y) in chunk.0.iter().zip(chunk.1) {
-                let (loss, mut g) = model.per_example_grad_scalar(x, y);
-                let pre_norm = clipping.clip(&mut g, &layout);
-                if pre_norm <= bound {
-                    unclipped += 1;
+        for clipping in [
+            ClippingStrategy::Flat(0.9),
+            ClippingStrategy::PerLayer(vec![0.5, 0.85]),
+        ] {
+            let out = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+
+            // Chunked scalar oracle with the same fold order.
+            let bound = clipping.total_bound();
+            let mut expect = vec![0.0; model.param_count()];
+            let mut loss_total = 0.0;
+            let mut unclipped = 0;
+            // Per clip norm: (rows above it, rows within it).
+            let mut sides = vec![(0, 0); clipping.segments(&layout, model.param_count()).len()];
+            for chunk in xs.chunks(CLIP_CHUNK).zip(ys.chunks(CLIP_CHUNK)) {
+                let mut partial = vec![0.0; model.param_count()];
+                let mut partial_loss = 0.0;
+                for (x, &y) in chunk.0.iter().zip(chunk.1) {
+                    let (loss, mut g) = model.per_example_grad_scalar(x, y);
+                    for ((c, seg), side) in clipping
+                        .segments(&layout, g.len())
+                        .into_iter()
+                        .zip(&mut sides)
+                    {
+                        if l2_norm(&g[seg]) > c {
+                            side.0 += 1;
+                        } else {
+                            side.1 += 1;
+                        }
+                    }
+                    let pre_norm = clipping.clip(&mut g, &layout);
+                    if pre_norm <= bound {
+                        unclipped += 1;
+                    }
+                    partial_loss += loss;
+                    axpy(1.0, &g, &mut partial);
                 }
-                partial_loss += loss;
-                axpy(1.0, &g, &mut partial);
+                loss_total += partial_loss;
+                axpy(1.0, &partial, &mut expect);
             }
-            loss_total += partial_loss;
-            axpy(1.0, &partial, &mut expect);
-        }
-        assert_eq!(out.unclipped, unclipped);
-        assert_eq!(out.loss_total.to_bits(), loss_total.to_bits());
-        for (a, e) in out.clean_sum.iter().zip(&expect) {
-            assert_eq!(a.to_bits(), e.to_bits());
+            // Rows on both sides of the bound, and of every per-layer norm.
+            assert!(0 < unclipped && unclipped < xs.len(), "{clipping:?}");
+            assert!(
+                sides.iter().all(|&(above, within)| above > 0 && within > 0),
+                "{clipping:?}: {sides:?}"
+            );
+            assert_eq!(out.unclipped, unclipped, "{clipping:?}");
+            assert_eq!(
+                out.loss_total.to_bits(),
+                loss_total.to_bits(),
+                "{clipping:?}"
+            );
+            for (i, (a, e)) in out.clean_sum.iter().zip(&expect).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    e.to_bits(),
+                    "{clipping:?} clean_sum[{i}]: {a} vs {e}"
+                );
+            }
         }
     }
 

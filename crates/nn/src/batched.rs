@@ -15,6 +15,10 @@
 //! All kernels work on flat row-major `[B, ...]` slices; shape validation
 //! stays with the dispatcher, which resolves every layer's dimensions
 //! from the model's own layer structs.
+//!
+//! The same forward kernels carry each example through the layers before
+//! the last batch norm when [`Sequential::update_norm_stats`] refreshes
+//! the running statistics.
 
 use std::borrow::Cow;
 
@@ -159,6 +163,19 @@ fn layer_params<T: Elem>(layer: &Layer) -> Vec<Cow<'_, [T]>> {
             Cow::Owned(b.inv_std().into_iter().map(T::from_f64).collect()),
         ],
         Layer::Relu | Layer::MaxPool2d(_) | Layer::Flatten => Vec::new(),
+    }
+}
+
+/// Push each example's f64 activation buffer (per-example `shape`, updated
+/// to the output's) through `layer` at B=1, dropping each backward cache as
+/// soon as it is built. One buffer per example, as the scalar path holds
+/// them, keeps this pass free of batch-sized allocations.
+pub(crate) fn forward_each(layer: &Layer, activations: &mut [Vec<f64>], shape: &mut Vec<usize>) {
+    let params = layer_params::<f64>(layer);
+    let input_shape = shape.clone();
+    for a in activations {
+        shape.clone_from(&input_shape);
+        *a = forward(layer, &params, std::mem::take(a), shape, 1).0;
     }
 }
 

@@ -14,6 +14,14 @@
 //! [`Sequential::update_norm_stats`]) and the backward pass treats them as
 //! constants, which keeps per-example gradients well defined — the standard
 //! workaround in DP deep-learning stacks.
+//!
+//! Gradients and the statistics refresh both run on one set of batched
+//! layer kernels ([`BatchModel`] for gradients at f64 or f32; the refresh
+//! at f64, one example at a time, up to the last batch norm). The original
+//! example-at-a-time layers ([`Layer::forward`] / [`Layer::backward`])
+//! remain the bit-for-bit oracle the f64 kernels are tested against, and
+//! still serve the forward-only helpers ([`Sequential::forward`],
+//! [`Sequential::mean_loss`], [`Sequential::predict`]).
 
 mod batched;
 pub mod init;

@@ -3,7 +3,7 @@
 use dpaudit_tensor::{Backend, Tensor};
 use serde::{Deserialize, Serialize};
 
-use crate::batched::BatchModel;
+use crate::batched::{forward_each, BatchModel};
 use crate::layers::{Cache, Layer};
 use crate::loss::softmax_cross_entropy;
 
@@ -232,55 +232,82 @@ impl Sequential {
     /// Must be called before computing per-example gradients for a step so
     /// that all examples are normalised identically (frozen-stats batch
     /// norm; see the crate docs).
+    ///
+    /// The pass stops at the last batch norm (a model without one returns
+    /// at once) and carries each example through the f64 batched layer
+    /// kernels at B=1. Each channel is summed in example-major order, so the
+    /// statistics are bit-identical to an example-at-a-time pass on the
+    /// scalar [`Layer::forward`].
+    ///
+    /// # Panics
+    /// Panics on a ragged batch or a batch norm whose input is not `[C, H, W]`.
     pub fn update_norm_stats(&mut self, batch: &[Tensor]) {
-        if batch.is_empty() {
+        let Some(last) = self
+            .layers
+            .iter()
+            .rposition(|l| matches!(l, Layer::BatchNorm2d(_)))
+        else {
             return;
-        }
-        let mut activations: Vec<Tensor> = batch.to_vec();
-        for layer in &mut self.layers {
+        };
+        let Some(first) = batch.first() else {
+            return;
+        };
+        let mut shape = first.shape().to_vec();
+        let mut activations: Vec<Vec<f64>> = batch
+            .iter()
+            .map(|x| {
+                assert_eq!(x.shape(), &shape[..], "update_norm_stats: ragged batch");
+                x.data().to_vec()
+            })
+            .collect();
+        for (i, layer) in self.layers[..=last].iter_mut().enumerate() {
             if let Layer::BatchNorm2d(bn) = layer {
-                // Per-channel mean/var across the batch and spatial dims.
-                let shape = activations[0].shape().to_vec();
-                assert_eq!(
-                    shape.len(),
-                    3,
-                    "update_norm_stats: batch norm input must be [C,H,W]"
-                );
-                let channels = shape[0];
-                let plane = shape[1] * shape[2];
-                let count = (activations.len() * plane) as f64;
-                let mut mean = vec![0.0; channels];
-                let mut var = vec![0.0; channels];
-                #[allow(clippy::needless_range_loop)] // c addresses offsets too
-                for a in &activations {
-                    for c in 0..channels {
-                        for p in 0..plane {
-                            mean[c] += a.data()[c * plane + p];
-                        }
-                    }
-                }
-                for m in &mut mean {
-                    *m /= count;
-                }
-                for a in &activations {
-                    for c in 0..channels {
-                        for p in 0..plane {
-                            let d = a.data()[c * plane + p] - mean[c];
-                            var[c] += d * d;
-                        }
-                    }
-                }
-                for v in &mut var {
-                    *v /= count;
-                }
+                let (mean, var) = channel_moments(&activations, &shape);
                 bn.update_stats(&mean, &var);
             }
-            // Advance the whole batch through this layer (with the *updated*
-            // stats for batch-norm layers).
-            let frozen = &*layer;
-            activations = activations.iter().map(|a| frozen.forward(a).0).collect();
+            if i < last {
+                // With the *updated* statistics for batch-norm layers.
+                forward_each(layer, &mut activations, &mut shape);
+            }
         }
     }
+}
+
+/// Per-channel mean and (biased) variance of `[C, H, W]` activations across
+/// the batch and the spatial dims, each channel's sums taken in
+/// example-major order.
+fn channel_moments(activations: &[Vec<f64>], shape: &[usize]) -> (Vec<f64>, Vec<f64>) {
+    assert_eq!(
+        shape.len(),
+        3,
+        "update_norm_stats: batch norm input must be [C,H,W]"
+    );
+    let (channels, plane) = (shape[0], shape[1] * shape[2]);
+    let count = (activations.len() * plane) as f64;
+    let mut mean = vec![0.0; channels];
+    for a in activations {
+        for (m, values) in mean.iter_mut().zip(a.chunks_exact(plane)) {
+            for &v in values {
+                *m += v;
+            }
+        }
+    }
+    for m in &mut mean {
+        *m /= count;
+    }
+    let mut var = vec![0.0; channels];
+    for a in activations {
+        for ((v, values), &m) in var.iter_mut().zip(a.chunks_exact(plane)).zip(&mean) {
+            for &x in values {
+                let d = x - m;
+                *v += d * d;
+            }
+        }
+    }
+    for v in &mut var {
+        *v /= count;
+    }
+    (mean, var)
 }
 
 #[cfg(test)]
@@ -469,6 +496,114 @@ mod tests {
         let before = m.params();
         m.update_norm_stats(&[]);
         assert_eq!(m.params(), before);
+    }
+
+    /// The example-at-a-time statistics refresh on the scalar
+    /// `Layer::forward` path, through every layer: the oracle
+    /// `update_norm_stats` must match bit for bit.
+    fn update_norm_stats_scalar(model: &mut Sequential, batch: &[Tensor]) {
+        if batch.is_empty() {
+            return;
+        }
+        let mut activations: Vec<Tensor> = batch.to_vec();
+        for layer in &mut model.layers {
+            if let Layer::BatchNorm2d(bn) = layer {
+                let shape = activations[0].shape().to_vec();
+                let channels = shape[0];
+                let plane = shape[1] * shape[2];
+                let count = (activations.len() * plane) as f64;
+                let mut mean = vec![0.0; channels];
+                let mut var = vec![0.0; channels];
+                #[allow(clippy::needless_range_loop)] // c addresses offsets too
+                for a in &activations {
+                    for c in 0..channels {
+                        for p in 0..plane {
+                            mean[c] += a.data()[c * plane + p];
+                        }
+                    }
+                }
+                for m in &mut mean {
+                    *m /= count;
+                }
+                for a in &activations {
+                    for c in 0..channels {
+                        for p in 0..plane {
+                            let d = a.data()[c * plane + p] - mean[c];
+                            var[c] += d * d;
+                        }
+                    }
+                }
+                for v in &mut var {
+                    *v /= count;
+                }
+                bn.update_stats(&mean, &var);
+            }
+            let frozen = &*layer;
+            activations = activations.iter().map(|a| frozen.forward(a).0).collect();
+        }
+    }
+
+    /// Every parameter and every batch-norm running statistic, as bits.
+    fn state_bits(m: &Sequential) -> Vec<u64> {
+        let mut bits: Vec<u64> = m.params().iter().map(|v| v.to_bits()).collect();
+        for layer in &m.layers {
+            if let Layer::BatchNorm2d(b) = layer {
+                bits.extend(
+                    b.running_mean
+                        .iter()
+                        .chain(&b.running_var)
+                        .map(|v| v.to_bits()),
+                );
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn update_norm_stats_matches_the_scalar_oracle_bitwise() {
+        let models = [
+            (tiny_cnn(40), [1, 8, 8]),
+            (crate::zoo::mnist_cnn(&mut seeded_rng(40)), [1, 28, 28]),
+        ];
+        for (model, shape) in models {
+            for batch_size in [1, 2, 17] {
+                let mut fast = model.clone();
+                let mut oracle = model.clone();
+                // Five successive refreshes blend into the running
+                // statistics; nudged parameters move every batch's moments.
+                for call in 0..5u64 {
+                    let batch: Vec<Tensor> = (0..batch_size as u64)
+                        .map(|i| example(1000 * call + i, &shape))
+                        .collect();
+                    fast.update_norm_stats(&batch);
+                    update_norm_stats_scalar(&mut oracle, &batch);
+                    assert_eq!(
+                        state_bits(&fast),
+                        state_bits(&oracle),
+                        "{shape:?} at B={batch_size}, call {call}"
+                    );
+                    let nudged: Vec<f64> = fast
+                        .params()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| v + 0.05 * ((i as u64 + call) as f64).sin())
+                        .collect();
+                    fast.set_params(&nudged);
+                    oracle.set_params(&nudged);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_norm_stats_leaves_a_batch_norm_free_model_unchanged() {
+        let mut m = tiny_mlp(41);
+        let before = state_bits(&m);
+        let batch: Vec<Tensor> = (0..5).map(|i| example(50 + i, &[6])).collect();
+        m.update_norm_stats(&batch);
+        assert_eq!(state_bits(&m), before);
+        update_norm_stats_scalar(&mut m, &batch);
+        assert_eq!(state_bits(&m), before);
     }
 
     #[test]

@@ -98,18 +98,24 @@ fn resumed_runs_converge_to_the_same_gauges() {
     let path = dir.join("resume.jsonl");
     let pair = testkit::toy_pair();
 
-    // First pass: run everything to completion, no telemetry.
+    // First pass: run everything to completion, no telemetry. Its trials
+    // still emit ledger events; a held disabled sink drops them and keeps
+    // them out of the registry the other test installs (installs
+    // serialise on one lock; bare emitters do not).
     let mut session = AuditSession::create(&path, toy_header(4, 3)).unwrap();
-    let first = session
-        .run(
-            &pair,
-            None,
-            testkit::toy_model,
-            Parallelism::trials(2),
-            |_| {},
-            None,
-        )
-        .unwrap();
+    let first = {
+        let _quiet = obs::install(Arc::new(obs::NoopSink));
+        session
+            .run(
+                &pair,
+                None,
+                testkit::toy_model,
+                Parallelism::trials(2),
+                |_| {},
+                None,
+            )
+            .unwrap()
+    };
 
     // Second pass: resume the complete store with telemetry on — every
     // trial replays, and the replay path must rebuild the ε′ gauges.
