@@ -5,9 +5,12 @@
 #
 # usage: bytes-vs-base.sh BASE_DPAUDIT HEAD_DPAUDIT [WORK_DIR]
 #
-# Covers mnist and purchase, each at full batch and Poisson-sampled
-# (`--sampling-q 0.3`), at `--threads 1` so records land in trial order.
-# Exits 1 if any pair of stores differs.
+# Covers mnist and purchase at `--threads 1`, so records land in trial
+# order, each under four flag sets: the Gaussian adversary at full batch
+# and Poisson-sampled (`--sampling-q 0.3`), and the threshold-MI adversary
+# (`--adversary mi`), bounded at full batch (its score comes from two
+# forward-pass losses) and unbounded Poisson-sampled (its reference loss
+# is the mean loss over D′). Exits 1 if any pair of stores differs.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -30,21 +33,27 @@ audit() {
   fi
 }
 
+# NAME:EXTRA_FLAGS, one per audit variant.
+variants=(
+  "gaussian_full:"
+  "gaussian_q0.3:--sampling-q 0.3"
+  "mi_full:--adversary mi"
+  "mi_unbounded_q0.3:--adversary mi --mode unbounded --sampling-q 0.3"
+)
+
 status=0
 for workload in mnist purchase; do
-  for sampling in full 0.3; do
+  for variant in "${variants[@]}"; do
+    read -r -a extra <<< "${variant#*:}"
     flags=(audit run --workload "$workload" --threads 1 --reps 4 --steps 4
-      --train-size 40 --fresh)
-    if [ "$sampling" != full ]; then
-      flags+=(--sampling-q "$sampling")
-    fi
-    name="${workload}_${sampling}"
+      --train-size 40 --fresh "${extra[@]}")
+    name="${workload}_${variant%%:*}"
     audit "$base_bin" "$work/base_$name.jsonl" "${flags[@]}"
     audit "$head_bin" "$work/head_$name.jsonl" "${flags[@]}"
     if cmp "$work/base_$name.jsonl" "$work/head_$name.jsonl"; then
-      echo "same bytes: $workload, sampling $sampling"
+      echo "same bytes: $name"
     else
-      echo "stores differ: $workload, sampling $sampling" >&2
+      echo "stores differ: $name" >&2
       status=1
     fi
   done

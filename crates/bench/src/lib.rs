@@ -211,8 +211,8 @@ impl Workload {
     }
 }
 
-/// Run a trial batch with rayon across per-trial seeds (deterministic: the
-/// seed split does not depend on scheduling).
+/// Run a trial batch with rayon across per-trial seeds (deterministic:
+/// trial `i` runs on `trial_seed(master_seed, i)` whatever the scheduling).
 pub fn run_batch_parallel(
     workload: Workload,
     pair: &NeighborPair,
@@ -231,7 +231,7 @@ pub fn run_batch_parallel(
                 settings,
                 test_set,
                 |rng| workload.build_model(rng),
-                split_seed(master_seed, 1000 + i as u64),
+                dpaudit_core::trial_seed(master_seed, i),
             )
         })
         .collect();
@@ -597,6 +597,53 @@ mod tests {
         let pair = Workload::Purchase.max_pair(&w, NeighborMode::Bounded);
         assert!(pair.x2.is_some());
         assert_eq!(pair.sizes(), (20, 20));
+    }
+
+    #[test]
+    fn parallel_and_engine_runners_agree_trial_for_trial() {
+        let world = purchase_world(5, 8, 10, 0);
+        let pair = Workload::Purchase.max_pair(&world, NeighborMode::Bounded);
+        let row = param_row(0.9, PURCHASE_DELTA);
+        let settings = arm_settings(
+            &row,
+            2,
+            dpaudit_dpsgd::SensitivityScaling::Local,
+            NeighborMode::Bounded,
+            dpaudit_core::ChallengeMode::RandomBit,
+        );
+        let (reps, master_seed) = (3, 17);
+        let parallel = run_batch_parallel(
+            Workload::Purchase,
+            &pair,
+            &settings,
+            None,
+            reps,
+            master_seed,
+        );
+        let batch = EngineBatch {
+            workload: Workload::Purchase,
+            pair: &pair,
+            settings: &settings,
+            test_set: None,
+            reps,
+            master_seed,
+            world_seed: 5,
+            train_size: 8,
+            row,
+            label: "runner_agreement".into(),
+        };
+        let opts = EngineOpts {
+            threads: 2,
+            batch_threads: 1,
+            store_dir: None,
+        };
+        let engine = run_batch_engine(&batch, &opts);
+        let summarized: Vec<_> = parallel
+            .trials
+            .into_iter()
+            .map(|t| t.with_detail(dpaudit_core::RecordDetail::Summary))
+            .collect();
+        assert_eq!(summarized, engine.trials);
     }
 
     #[test]

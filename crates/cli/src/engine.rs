@@ -63,6 +63,7 @@ pub(crate) fn header_from_opts(opts: &Opts) -> Result<StoreHeader, String> {
     let detail = parse_detail(opts.str_opt("detail").unwrap_or("summary"))?;
     let seed = opts.u64_or("seed", 42)?;
     let train_size = opts.usize_or("train-size", workload.default_train_size())?;
+    check_sizes(steps, train_size, mode)?;
     let label = opts
         .str_opt("label")
         .map(str::to_string)
@@ -322,9 +323,30 @@ fn execute(
 /// same workload + world seed + train size + neighbour mode ⇒ same pair.
 pub(crate) fn rebuild_workload(header: &StoreHeader) -> Result<(Workload, NeighborPair), String> {
     let workload = parse_workload(&header.workload)?;
+    let dpsgd = &header.settings.dpsgd;
+    check_sizes(dpsgd.steps, header.train_size, dpsgd.mode)?;
     let world = workload.world(header.world_seed.0, header.train_size);
-    let pair = workload.max_pair(&world, header.settings.dpsgd.mode);
+    let pair = workload.max_pair(&world, dpsgd.mode);
     Ok((workload, pair))
+}
+
+/// Reject sizes no audit can run: a step count of zero, or a training set
+/// too small to build a neighbouring pair from (bounded replaces one of at
+/// least 1 record, unbounded removes one of at least 2).
+fn check_sizes(steps: usize, train_size: usize, mode: NeighborMode) -> Result<(), String> {
+    if steps == 0 {
+        return Err("--steps must be positive".into());
+    }
+    let min = match mode {
+        NeighborMode::Bounded => 1,
+        NeighborMode::Unbounded => 2,
+    };
+    if train_size < min {
+        return Err(format!(
+            "{mode} neighbours need --train-size >= {min}, got {train_size}"
+        ));
+    }
+    Ok(())
 }
 
 fn parse_workload(name: &str) -> Result<Workload, String> {
@@ -474,10 +496,36 @@ mod tests {
             dpaudit_core::rho_beta(poisson.target_epsilon)
         );
 
-        let err = header_from_opts(&parse(&["--sampling-q", "1.5"])).unwrap_err();
-        assert!(err.contains("(0, 1)"), "{err}");
-        let err = header_from_opts(&parse(&["--adversary", "bogus"])).unwrap_err();
-        assert!(err.contains("gaussian|glrt|mi"), "{err}");
+        for (flags, message) in [
+            (&["--sampling-q", "1.5"][..], "(0, 1)"),
+            (&["--adversary", "bogus"], "gaussian|glrt|mi"),
+            (&["--steps", "0"], "--steps must be positive"),
+            (
+                &["--train-size", "0"],
+                "bounded neighbours need --train-size >= 1",
+            ),
+            (
+                &["--train-size", "1", "--mode", "unbounded"],
+                "unbounded neighbours need --train-size >= 2",
+            ),
+        ] {
+            let err = header_from_opts(&parse(flags)).unwrap_err();
+            assert!(err.contains(message), "{flags:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn rebuild_workload_rejects_an_empty_training_set() {
+        let opts = Opts::parse(
+            ["audit", "run", "--workload", "purchase", "--steps", "2"]
+                .iter()
+                .map(|s| s.to_string()),
+        )
+        .unwrap();
+        let mut header = header_from_opts(&opts).unwrap();
+        header.train_size = 0;
+        let err = rebuild_workload(&header).unwrap_err();
+        assert!(err.contains("need --train-size >= 1, got 0"), "{err}");
     }
 
     #[test]

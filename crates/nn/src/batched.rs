@@ -16,9 +16,10 @@
 //! stays with the dispatcher, which resolves every layer's dimensions
 //! from the model's own layer structs.
 //!
-//! The same forward kernels carry each example through the layers before
-//! the last batch norm when [`Sequential::update_norm_stats`] refreshes
-//! the running statistics.
+//! The same forward kernels carry each example, at B=1, through the layers
+//! before the last batch norm when [`Sequential::update_norm_stats`]
+//! refreshes the running statistics, and through every layer in
+//! [`Sequential::forward`].
 
 use std::borrow::Cow;
 
@@ -168,8 +169,8 @@ fn layer_params<T: Elem>(layer: &Layer) -> Vec<Cow<'_, [T]>> {
 
 /// Push each example's f64 activation buffer (per-example `shape`, updated
 /// to the output's) through `layer` at B=1, dropping each backward cache as
-/// soon as it is built. One buffer per example, as the scalar path holds
-/// them, keeps this pass free of batch-sized allocations.
+/// soon as it is built. One buffer per example keeps this pass free of
+/// batch-sized allocations.
 pub(crate) fn forward_each(layer: &Layer, activations: &mut [Vec<f64>], shape: &mut Vec<usize>) {
     let params = layer_params::<f64>(layer);
     let input_shape = shape.clone();
@@ -191,11 +192,8 @@ fn forward<T: Elem>(
     match layer {
         Layer::Dense(d) => {
             let (n, m) = (d.in_features(), d.out_features());
-            assert_eq!(
-                shape[..],
-                [n],
-                "Dense: batched input must be [B, {n}], got [B, {shape:?}]"
-            );
+            let len: usize = shape.iter().product();
+            assert_eq!(len, n, "Dense: input length {len} != in_features {n}");
             let y = dense_forward(&input, &p[0], &p[1], batch, n, m);
             *shape = vec![m];
             (y, BatchCache::Dense { input })

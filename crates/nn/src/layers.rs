@@ -1,9 +1,11 @@
-//! Network layers with exact forward/backward passes.
+//! Network layers: their parameters, canonical parameter order and updates.
 //!
-//! Each layer exposes `forward` (producing an output and a [`Cache`] of the
-//! intermediates the backward pass needs) and `backward` (consuming the cache
-//! and the upstream gradient, producing the input gradient and the flat
-//! parameter gradient in the layer's canonical parameter order).
+//! The layer passes every production path runs are the batched kernels of
+//! [`crate::BatchModel`]. The example-at-a-time `forward` (an output plus a
+//! cache of what the backward pass needs) and `backward` (the input
+//! gradient plus the flat parameter gradient in canonical order) here are
+//! crate-private: they serve only as the oracle behind
+//! [`crate::Sequential::per_example_grad_scalar`].
 
 use dpaudit_tensor::{
     conv2d_backward, conv2d_forward, matvec, matvec_transposed, maxpool2d_backward,
@@ -16,7 +18,7 @@ use crate::init::glorot_uniform;
 
 /// Per-layer forward intermediates required by the backward pass.
 #[derive(Debug, Clone)]
-pub enum Cache {
+pub(crate) enum Cache {
     /// Dense layer cache.
     Dense {
         /// The layer's input vector.
@@ -114,11 +116,11 @@ impl Conv2d {
         }
     }
 
-    fn dims_for(&self, input: &Tensor) -> Conv2dDims {
-        self.dims_for_shape(input.shape())
-    }
-
     /// Resolve spatial dimensions from a `[C, H, W]` example shape.
+    ///
+    /// # Panics
+    /// Panics on a wrong rank, a channel mismatch or a kernel larger than
+    /// the input.
     pub(crate) fn dims_for_shape(&self, is: &[usize]) -> Conv2dDims {
         let ks = self.kernels.shape();
         assert_eq!(is.len(), 3, "Conv2d expects a [C, H, W] input, got {is:?}");
@@ -126,6 +128,10 @@ impl Conv2d {
             is[0], ks[1],
             "Conv2d: input has {} channels, kernels expect {}",
             is[0], ks[1]
+        );
+        assert!(
+            ks[2] <= is[1] && ks[3] <= is[2],
+            "conv2d: kernel larger than input"
         );
         Conv2dDims {
             in_channels: ks[1],
@@ -211,10 +217,6 @@ pub struct MaxPool2d {
 }
 
 impl MaxPool2d {
-    fn dims_for(&self, input: &Tensor) -> PoolDims {
-        self.dims_for_shape(input.shape())
-    }
-
     /// Resolve pooling dimensions from a `[C, H, W]` example shape.
     pub(crate) fn dims_for_shape(&self, is: &[usize]) -> PoolDims {
         assert_eq!(
@@ -346,7 +348,7 @@ impl Layer {
 
     /// Forward pass on a single example, producing the output and the cache
     /// for [`Layer::backward`].
-    pub fn forward(&self, input: &Tensor) -> (Tensor, Cache) {
+    pub(crate) fn forward(&self, input: &Tensor) -> (Tensor, Cache) {
         match self {
             Layer::Dense(d) => {
                 assert_eq!(
@@ -373,7 +375,7 @@ impl Layer {
                 )
             }
             Layer::Conv2d(c) => {
-                let dims = c.dims_for(input);
+                let dims = c.dims_for_shape(input.shape());
                 let out = conv2d_forward(input.data(), c.kernels.data(), c.bias.data(), &dims);
                 (
                     Tensor::from_vec(&[dims.out_channels, dims.out_h(), dims.out_w()], out),
@@ -420,7 +422,7 @@ impl Layer {
                 (out, Cache::Relu { mask })
             }
             Layer::MaxPool2d(p) => {
-                let dims = p.dims_for(input);
+                let dims = p.dims_for_shape(input.shape());
                 let (out, argmax) = maxpool2d_forward(input.data(), &dims);
                 (
                     Tensor::from_vec(&[dims.channels, dims.out_h(), dims.out_w()], out),
@@ -437,7 +439,7 @@ impl Layer {
 
     /// Backward pass. Returns `(d_input, d_params)` where `d_params` follows
     /// the same canonical order as [`Layer::append_params`].
-    pub fn backward(&self, d_out: &Tensor, cache: &Cache) -> (Tensor, Vec<f64>) {
+    pub(crate) fn backward(&self, d_out: &Tensor, cache: &Cache) -> (Tensor, Vec<f64>) {
         match (self, cache) {
             (Layer::Dense(d), Cache::Dense { input }) => {
                 let (m, n) = (d.out_features(), d.in_features());

@@ -15,13 +15,14 @@
 //! constants, which keeps per-example gradients well defined — the standard
 //! workaround in DP deep-learning stacks.
 //!
-//! Gradients and the statistics refresh both run on one set of batched
-//! layer kernels ([`BatchModel`] for gradients at f64 or f32; the refresh
-//! at f64, one example at a time, up to the last batch norm). The original
-//! example-at-a-time layers ([`Layer::forward`] / [`Layer::backward`])
-//! remain the bit-for-bit oracle the f64 kernels are tested against, and
-//! still serve the forward-only helpers ([`Sequential::forward`],
-//! [`Sequential::mean_loss`], [`Sequential::predict`]).
+//! There is one production layer stack: the batched kernels behind
+//! [`BatchModel`]. They compute gradients at f64 or f32, and at f64 they
+//! carry one example at a time (B=1) through the statistics refresh (up to
+//! the last batch norm) and the forward-only helpers
+//! ([`Sequential::forward`], [`Sequential::mean_loss`],
+//! [`Sequential::predict`], [`Sequential::accuracy`]). The
+//! example-at-a-time layer passes are crate-private and serve only as the
+//! bit-for-bit oracle behind [`Sequential::per_example_grad_scalar`].
 
 mod batched;
 pub mod init;
@@ -32,7 +33,7 @@ pub mod zoo;
 
 pub use batched::BatchModel;
 pub use init::glorot_uniform;
-pub use layers::{BatchNorm2d, Cache, Conv2d, Dense, Layer, MaxPool2d};
+pub use layers::{BatchNorm2d, Conv2d, Dense, Layer, MaxPool2d};
 pub use loss::{cross_entropy_loss, softmax, softmax_cross_entropy};
 pub use model::Sequential;
 pub use zoo::{mnist_cnn, purchase_mlp, MNIST_CLASSES, PURCHASE_CLASSES, PURCHASE_FEATURES};

@@ -4,7 +4,7 @@ use dpaudit_tensor::{Backend, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::batched::{forward_each, BatchModel};
-use crate::layers::{Cache, Layer};
+use crate::layers::Layer;
 use crate::loss::softmax_cross_entropy;
 
 /// A feed-forward stack of [`Layer`]s.
@@ -86,50 +86,17 @@ impl Sequential {
         }
     }
 
-    /// Plain forward pass (no caches), producing logits.
+    /// Plain forward pass producing logits: the f64 batched layer kernels
+    /// at B=1, holding one activation buffer and dropping each backward
+    /// cache as soon as it is built. Bit-identical to the scalar
+    /// example-at-a-time layers [`Sequential::per_example_grad_scalar`] runs.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
+        let mut shape = x.shape().to_vec();
+        let mut h = x.data().to_vec();
         for layer in &self.layers {
-            let (out, _) = layer.forward(&h);
-            h = out;
+            forward_each(layer, std::slice::from_mut(&mut h), &mut shape);
         }
-        h
-    }
-
-    /// Forward pass retaining per-layer caches for backpropagation.
-    pub fn forward_cached(&self, x: &Tensor) -> (Tensor, Vec<Cache>) {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer.forward(&h);
-            caches.push(cache);
-            h = out;
-        }
-        (h, caches)
-    }
-
-    /// Backpropagate `d_logits` through the cached forward pass, returning
-    /// the flat parameter gradient (same layout as [`Sequential::params`]).
-    pub fn backward(&self, caches: &[Cache], d_logits: Tensor) -> Vec<f64> {
-        assert_eq!(
-            caches.len(),
-            self.layers.len(),
-            "backward: cache count mismatch"
-        );
-        // Collect per-layer gradients in reverse, then flatten forward.
-        let mut per_layer: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len());
-        let mut d = d_logits;
-        for (layer, cache) in self.layers.iter().zip(caches).rev() {
-            let (d_in, d_params) = layer.backward(&d, cache);
-            per_layer.push(d_params);
-            d = d_in;
-        }
-        per_layer.reverse();
-        let mut flat = Vec::with_capacity(self.param_count());
-        for g in per_layer {
-            flat.extend(g);
-        }
-        flat
+        Tensor::from_vec(&shape, h)
     }
 
     /// Losses and per-example flat parameter gradients for a labelled batch,
@@ -175,14 +142,28 @@ impl Sequential {
         self.per_example_grad(x, label)
     }
 
-    /// Single-example gradient on the original example-at-a-time path —
-    /// kept as the property-test oracle for the batched pipeline.
+    /// Single-example gradient on the example-at-a-time layers: the oracle
+    /// the batched pipeline is tested against bit for bit, and the only
+    /// caller of the scalar layer passes.
     pub fn per_example_grad_scalar(&self, x: &Tensor, label: usize) -> (f64, Vec<f64>) {
-        let (logits, caches) = self.forward_cached(x);
-        let (loss, d_logits) = softmax_cross_entropy(logits.data(), label);
-        let shape = [logits.len()];
-        let grad = self.backward(&caches, Tensor::from_vec(&shape, d_logits));
-        (loss, grad)
+        let mut caches = Vec::with_capacity(self.layers.len());
+        let mut h = x.clone();
+        for layer in &self.layers {
+            let (out, cache) = layer.forward(&h);
+            caches.push(cache);
+            h = out;
+        }
+        let (loss, d_logits) = softmax_cross_entropy(h.data(), label);
+        let mut d = Tensor::from_vec(&[d_logits.len()], d_logits);
+        // Collect per-layer gradients in reverse, then flatten forward.
+        let mut per_layer = Vec::with_capacity(self.layers.len());
+        for (layer, cache) in self.layers.iter().zip(&caches).rev() {
+            let (d_in, d_params) = layer.backward(&d, cache);
+            per_layer.push(d_params);
+            d = d_in;
+        }
+        per_layer.reverse();
+        (loss, per_layer.concat())
     }
 
     /// Average cross-entropy loss over a labelled set.
@@ -236,8 +217,8 @@ impl Sequential {
     /// The pass stops at the last batch norm (a model without one returns
     /// at once) and carries each example through the f64 batched layer
     /// kernels at B=1. Each channel is summed in example-major order, so the
-    /// statistics are bit-identical to an example-at-a-time pass on the
-    /// scalar [`Layer::forward`].
+    /// statistics are bit-identical to an example-at-a-time pass through
+    /// the scalar layers.
     ///
     /// # Panics
     /// Panics on a ragged batch or a batch norm whose input is not `[C, H, W]`.
@@ -604,6 +585,76 @@ mod tests {
         assert_eq!(state_bits(&m), before);
         update_norm_stats_scalar(&mut m, &batch);
         assert_eq!(state_bits(&m), before);
+    }
+
+    /// The scalar oracle of `forward`: the example-at-a-time
+    /// `Layer::forward` chain.
+    fn forward_scalar(model: &Sequential, x: &Tensor) -> Tensor {
+        model
+            .layers
+            .iter()
+            .fold(x.clone(), |h, layer| layer.forward(&h).0)
+    }
+
+    #[test]
+    fn forward_helpers_match_the_scalar_layer_chain_bitwise() {
+        use crate::zoo::{
+            mnist_cnn, purchase_mlp, MNIST_CLASSES, PURCHASE_CLASSES, PURCHASE_FEATURES,
+        };
+        let mut cnn = tiny_cnn(60);
+        let batch: Vec<Tensor> = (0..4).map(|i| example(600 + i, &[1, 8, 8])).collect();
+        cnn.update_norm_stats(&batch);
+        let models = [
+            (tiny_mlp(60), vec![6], 3),
+            (cnn, vec![1, 8, 8], 3),
+            (
+                mnist_cnn(&mut seeded_rng(61)),
+                vec![1, 28, 28],
+                MNIST_CLASSES,
+            ),
+            (
+                purchase_mlp(&mut seeded_rng(62)),
+                vec![PURCHASE_FEATURES],
+                PURCHASE_CLASSES,
+            ),
+        ];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (model, shape, classes) in &models {
+            let xs: Vec<Tensor> = (0..9).map(|i| example(700 + i, shape)).collect();
+            let mut ys = Vec::new();
+            let mut losses = Vec::new();
+            let mut correct = 0;
+            for (i, x) in xs.iter().enumerate() {
+                let want = forward_scalar(model, x);
+                let got = model.forward(x);
+                assert_eq!(got.shape(), want.shape(), "{shape:?}");
+                assert_eq!(bits(&got), bits(&want), "{shape:?} example {i}");
+                let pred = want
+                    .data()
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                    .unwrap()
+                    .0;
+                assert_eq!(model.predict(x), pred, "{shape:?} example {i}");
+                // Every other label is the oracle's prediction, so the
+                // accuracy is neither 0 nor 1.
+                let y = if i % 2 == 0 {
+                    pred
+                } else {
+                    (pred + 1) % classes
+                };
+                correct += usize::from(y == pred);
+                losses.push(softmax_cross_entropy(want.data(), y).0);
+                ys.push(y);
+            }
+            let n = xs.len() as f64;
+            let mean = losses.iter().sum::<f64>() / n;
+            assert_eq!(model.mean_loss(&xs, &ys).to_bits(), mean.to_bits());
+            let accuracy = model.accuracy(&xs, &ys);
+            assert_eq!(accuracy.to_bits(), (correct as f64 / n).to_bits());
+            assert!(accuracy > 0.0 && accuracy < 1.0, "{accuracy}");
+        }
     }
 
     #[test]

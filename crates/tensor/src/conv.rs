@@ -1,18 +1,20 @@
 //! Valid-mode 2-D convolution, forward and backward.
 //!
 //! The paper's MNIST reference network uses two 3×3 convolution layers. The
-//! direct kernels here operate on a single `[C, H, W]` volume; the batched
-//! gradient pipeline lowers each example to a patch matrix ([`im2col`]) and
-//! runs the forward pass and the parameter gradients as one gemm-shaped
-//! call per example ([`conv2d_forward_gemm`], [`conv2d_backward_params`]).
-//! Both routes accumulate each output element in the same order — bias (or
-//! zero) first, then `(ic, u, v)` / pixel terms in ascending lexicographic
-//! order — so direct and gemm results are bit-identical.
+//! direct kernels here ([`conv2d_forward`], [`conv2d_backward`]) operate on
+//! a single `[C, H, W]` volume and serve the scalar oracle layers; the
+//! batched gradient pipeline lowers each example to a patch matrix
+//! ([`im2col_into`]) and runs the forward pass and the parameter gradients
+//! as one gemm-shaped call per example ([`conv2d_forward_gemm_into`],
+//! [`conv2d_backward_params_into`]). Both routes accumulate each output
+//! element in the same order — bias (or zero) first, then `(ic, u, v)` /
+//! pixel terms in ascending lexicographic order — so direct and gemm
+//! results are bit-identical.
 //!
 //! All routines are generic over the kernel element type ([`Elem`]) so the
-//! f32 storage mode of the batched pipeline reuses the same code, and every
-//! allocating entry point has a `_into` twin writing into caller-owned
-//! scratch so the per-example batched loop stays allocation-free.
+//! f32 storage mode of the batched pipeline reuses the same code, and the
+//! batched pipeline's kernels (`_into`) write into caller-owned scratch,
+//! fully overwriting it.
 
 use crate::elem::Elem;
 use crate::Backend;
@@ -46,13 +48,13 @@ impl Conv2dDims {
     }
 
     /// Number of output pixels per channel (`out_h · out_w`) — the row
-    /// count of the [`im2col`] patch matrix.
+    /// count of the [`im2col_into`] patch matrix.
     pub fn patch_rows(&self) -> usize {
         self.out_h() * self.out_w()
     }
 
     /// Receptive-field size (`in_channels · k_h · k_w`) — the column count
-    /// of the [`im2col`] patch matrix and the row length of one kernel.
+    /// of the [`im2col_into`] patch matrix and the row length of one kernel.
     pub fn patch_cols(&self) -> usize {
         self.in_channels * self.k_h * self.k_w
     }
@@ -118,14 +120,14 @@ pub fn conv2d_forward<T: Elem>(
     out
 }
 
-/// Lower one `[C_in, H, W]` volume into a caller-owned patch matrix buffer.
+/// Lower one `[C_in, H, W]` volume into a caller-owned patch matrix buffer
+/// (im2col).
 ///
-/// The allocation-free core of [`im2col`]: `patches` must have length
-/// `patch_rows() · patch_cols()` and is fully overwritten. Row
-/// `p = i·out_w + j` holds the receptive field of output pixel `(i, j)`,
-/// with columns ordered `(ic, u, v)` lexicographically — the same order a
-/// kernel's weights are stored in, and the same order the direct kernels
-/// accumulate in.
+/// `patches` must have length `patch_rows() · patch_cols()` and is fully
+/// overwritten. Row `p = i·out_w + j` holds the receptive field of output
+/// pixel `(i, j)`, with columns ordered `(ic, u, v)` lexicographically —
+/// the same order a kernel's weights are stored in, and the same order the
+/// direct kernels accumulate in.
 ///
 /// # Panics
 /// Panics if `input` or `patches` lengths disagree with `dims`.
@@ -158,17 +160,9 @@ pub fn im2col_into<T: Elem>(input: &[T], dims: &Conv2dDims, patches: &mut [T]) {
     }
 }
 
-/// Lower one `[C_in, H, W]` volume to its valid-convolution patch matrix.
-///
-/// Allocating wrapper over [`im2col_into`].
-pub fn im2col<T: Elem>(input: &[T], dims: &Conv2dDims) -> Vec<T> {
-    let mut patches = vec![T::ZERO; dims.patch_rows() * dims.patch_cols()];
-    im2col_into(input, dims, &mut patches);
-    patches
-}
-
-/// Forward convolution as one gemm over a pre-lowered patch matrix, writing
-/// into a caller-owned output buffer (`[C_out, patch_rows]`, overwritten).
+/// Forward convolution as one gemm over a pre-lowered patch matrix,
+/// `out[oc, p] = b[oc] + kernels_row(oc) · patchesᵀ`, writing into a
+/// caller-owned output buffer (`[C_out, patch_rows]`, overwritten).
 ///
 /// Bit-identical to [`conv2d_forward`]: the bias seeds each accumulator and
 /// the `(ic, u, v)` terms are added in the same ascending order.
@@ -213,22 +207,8 @@ pub fn conv2d_forward_gemm_on<T: Elem>(
     conv2d_forward_gemm_into(patches, kernels, bias, dims, out);
 }
 
-/// Forward convolution as one gemm over a pre-lowered patch matrix:
-/// `out[oc, p] = b[oc] + kernels_row(oc) · patchesᵀ`.
-///
-/// Allocating wrapper over [`conv2d_forward_gemm_into`].
-pub fn conv2d_forward_gemm<T: Elem>(
-    patches: &[T],
-    kernels: &[T],
-    bias: &[T],
-    dims: &Conv2dDims,
-) -> Vec<T> {
-    let mut out = vec![T::ZERO; dims.out_channels * dims.patch_rows()];
-    conv2d_forward_gemm_into(patches, kernels, bias, dims, &mut out);
-    out
-}
-
-/// Parameter gradients of the valid convolution from a patch matrix, written
+/// Parameter gradients of the valid convolution from a patch matrix,
+/// `d_kernels[oc, l] = Σ_p d_out[oc, p]·patches[p, l]` and `d_bias`, written
 /// into caller-owned buffers (both fully overwritten).
 ///
 /// `d_kernels` has kernel shape (`[C_out, patch_cols]`), `d_bias` has length
@@ -274,21 +254,6 @@ pub fn conv2d_backward_params_into<T: Elem>(
         }
         *db = acc;
     }
-}
-
-/// Parameter gradients of the valid convolution from a patch matrix:
-/// `(d_kernels, d_bias)` with `d_kernels[oc, l] = Σ_p d_out[oc, p]·patches[p, l]`.
-///
-/// Allocating wrapper over [`conv2d_backward_params_into`].
-pub fn conv2d_backward_params<T: Elem>(
-    patches: &[T],
-    d_out: &[T],
-    dims: &Conv2dDims,
-) -> (Vec<T>, Vec<T>) {
-    let mut d_kernels = vec![T::ZERO; dims.out_channels * dims.patch_cols()];
-    let mut d_bias = vec![T::ZERO; dims.out_channels];
-    conv2d_backward_params_into(patches, d_out, dims, &mut d_kernels, &mut d_bias);
-    (d_kernels, d_bias)
 }
 
 /// Input gradient of the valid convolution, written into a caller-owned
@@ -346,16 +311,6 @@ pub fn conv2d_backward_input_into<T: Elem>(
     }
 }
 
-/// Input gradient of the valid convolution: the transposed convolution of
-/// `d_out` with the kernels.
-///
-/// Allocating wrapper over [`conv2d_backward_input_into`].
-pub fn conv2d_backward_input<T: Elem>(kernels: &[T], d_out: &[T], dims: &Conv2dDims) -> Vec<T> {
-    let mut d_input = vec![T::ZERO; dims.in_channels * dims.in_h * dims.in_w];
-    conv2d_backward_input_into(kernels, d_out, dims, &mut d_input);
-    d_input
-}
-
 /// Gradients of the valid convolution on one example.
 ///
 /// Given the upstream gradient `d_out` (`[C_out, out_h, out_w]`), returns
@@ -406,7 +361,8 @@ pub fn conv2d_backward<T: Elem>(
             }
         }
     }
-    let d_input = conv2d_backward_input(kernels, d_out, dims);
+    let mut d_input = vec![T::ZERO; input.len()];
+    conv2d_backward_input_into(kernels, d_out, dims, &mut d_input);
     (d_input, d_kernels, d_bias)
 }
 
@@ -485,129 +441,98 @@ mod tests {
         // Input 3x3 = [1..9], 2x2 kernel: row for output pixel (0,0) is the
         // top-left window in (ic, u, v) order.
         let input: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        let p = im2col(&input, &dims_1ch(3, 3, 2));
+        let dims = dims_1ch(3, 3, 2);
+        let mut p = vec![0.0; dims.patch_rows() * dims.patch_cols()];
+        im2col_into(&input, &dims, &mut p);
         assert_eq!(&p[0..4], &[1.0, 2.0, 4.0, 5.0]);
         assert_eq!(&p[4..8], &[2.0, 3.0, 5.0, 6.0]);
         assert_eq!(&p[12..16], &[5.0, 6.0, 8.0, 9.0]);
     }
 
+    /// A multi-channel shape with non-square kernels for the gemm route.
+    const DIMS: Conv2dDims = Conv2dDims {
+        in_channels: 2,
+        out_channels: 3,
+        in_h: 6,
+        in_w: 5,
+        k_h: 3,
+        k_w: 2,
+    };
+
+    fn patches_of<T: Elem>(input: &[T]) -> Vec<T> {
+        let mut patches = vec![T::ZERO; DIMS.patch_rows() * DIMS.patch_cols()];
+        im2col_into(input, &DIMS, &mut patches);
+        patches
+    }
+
+    fn assert_same_bits<T: Elem>(got: &[T], want: &[T]) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.to_f64().to_bits(), w.to_f64().to_bits(), "{g:?} vs {w:?}");
+        }
+    }
+
     #[test]
-    fn into_variants_match_allocating_ones() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2);
-        let kernels = pseudo(dims.out_channels * dims.patch_cols(), 3e-3);
+    fn into_kernels_fully_overwrite_nan_scratch() {
+        let input = pseudo(DIMS.in_channels * DIMS.in_h * DIMS.in_w, 1e-2);
+        let kernels = pseudo(DIMS.out_channels * DIMS.patch_cols(), 3e-3);
         let bias = vec![0.3, -0.2, 0.1];
-        let d_out = pseudo(dims.out_channels * dims.patch_rows(), 5e-3);
-
-        let patches = im2col(&input, &dims);
-        // Scratch deliberately poisoned: _into must fully overwrite.
-        let mut patches2 = vec![f64::NAN; patches.len()];
-        im2col_into(&input, &dims, &mut patches2);
-        assert_eq!(patches, patches2);
-
-        let fwd = conv2d_forward_gemm(&patches, &kernels, &bias, &dims);
-        let mut fwd2 = vec![f64::NAN; fwd.len()];
-        conv2d_forward_gemm_into(&patches, &kernels, &bias, &dims, &mut fwd2);
-        for (a, b) in fwd.iter().zip(&fwd2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let (dk, db) = conv2d_backward_params(&patches, &d_out, &dims);
-        let mut dk2 = vec![f64::NAN; dk.len()];
-        let mut db2 = vec![f64::NAN; db.len()];
-        conv2d_backward_params_into(&patches, &d_out, &dims, &mut dk2, &mut db2);
-        for (a, b) in dk.iter().zip(&dk2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in db.iter().zip(&db2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let d_in = conv2d_backward_input(&kernels, &d_out, &dims);
-        let mut d_in2 = vec![f64::NAN; d_in.len()];
-        conv2d_backward_input_into(&kernels, &d_out, &dims, &mut d_in2);
-        for (a, b) in d_in.iter().zip(&d_in2) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let d_out = pseudo(DIMS.out_channels * DIMS.patch_rows(), 5e-3);
+        // Every kernel writes into scratch pre-filled with `fill`: a value
+        // left in place or accumulated onto shows as NaN in the second run.
+        let run = |fill: f64| {
+            let mut patches = vec![fill; DIMS.patch_rows() * DIMS.patch_cols()];
+            im2col_into(&input, &DIMS, &mut patches);
+            let mut fwd = vec![fill; DIMS.out_channels * DIMS.patch_rows()];
+            conv2d_forward_gemm_into(&patches, &kernels, &bias, &DIMS, &mut fwd);
+            let mut dk = vec![fill; kernels.len()];
+            let mut db = vec![fill; bias.len()];
+            conv2d_backward_params_into(&patches, &d_out, &DIMS, &mut dk, &mut db);
+            let mut d_in = vec![fill; input.len()];
+            conv2d_backward_input_into(&kernels, &d_out, &DIMS, &mut d_in);
+            [patches, fwd, dk, db, d_in]
+        };
+        for (zeroed, poisoned) in run(0.0).iter().zip(&run(f64::NAN)) {
+            assert!(zeroed.iter().all(|v| v.is_finite()));
+            assert_same_bits(poisoned, zeroed);
         }
     }
 
     #[test]
     fn f32_gemm_forward_matches_direct() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input: Vec<f32> = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2)
-            .iter()
-            .map(|&v| v as f32)
-            .collect();
-        let kernels: Vec<f32> = pseudo(dims.out_channels * dims.patch_cols(), 3e-3)
-            .iter()
-            .map(|&v| v as f32)
-            .collect();
+        let narrow = |v: Vec<f64>| -> Vec<f32> { v.iter().map(|&x| x as f32).collect() };
+        let input = narrow(pseudo(DIMS.in_channels * DIMS.in_h * DIMS.in_w, 1e-2));
+        let kernels = narrow(pseudo(DIMS.out_channels * DIMS.patch_cols(), 3e-3));
         let bias = vec![0.3f32, -0.2, 0.1];
-        let direct = conv2d_forward(&input, &kernels, &bias, &dims);
-        let patches = im2col(&input, &dims);
-        let gemm = conv2d_forward_gemm(&patches, &kernels, &bias, &dims);
-        for (g, d) in gemm.iter().zip(&direct) {
-            assert_eq!(g.to_bits(), d.to_bits());
-        }
+        let direct = conv2d_forward(&input, &kernels, &bias, &DIMS);
+        let mut gemm = vec![f32::NAN; direct.len()];
+        conv2d_forward_gemm_into(&patches_of(&input), &kernels, &bias, &DIMS, &mut gemm);
+        assert_same_bits(&gemm, &direct);
     }
 
     #[test]
     fn gemm_forward_is_bit_identical_to_direct() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2);
-        let kernels = pseudo(dims.out_channels * dims.patch_cols(), 3e-3);
+        let input = pseudo(DIMS.in_channels * DIMS.in_h * DIMS.in_w, 1e-2);
+        let kernels = pseudo(DIMS.out_channels * DIMS.patch_cols(), 3e-3);
         let bias = vec![0.3, -0.2, 0.1];
-        let direct = conv2d_forward(&input, &kernels, &bias, &dims);
-        let patches = im2col(&input, &dims);
-        let gemm = conv2d_forward_gemm(&patches, &kernels, &bias, &dims);
-        for (g, d) in gemm.iter().zip(&direct) {
-            assert_eq!(g.to_bits(), d.to_bits());
-        }
+        let direct = conv2d_forward(&input, &kernels, &bias, &DIMS);
+        let mut gemm = vec![f64::NAN; direct.len()];
+        conv2d_forward_gemm_into(&patches_of(&input), &kernels, &bias, &DIMS, &mut gemm);
+        assert_same_bits(&gemm, &direct);
     }
 
     #[test]
     fn gemm_param_gradients_are_bit_identical_to_direct() {
-        let dims = Conv2dDims {
-            in_channels: 2,
-            out_channels: 3,
-            in_h: 6,
-            in_w: 5,
-            k_h: 3,
-            k_w: 2,
-        };
-        let input = pseudo(dims.in_channels * dims.in_h * dims.in_w, 1e-2);
-        let kernels = pseudo(dims.out_channels * dims.patch_cols(), 3e-3);
-        let d_out = pseudo(dims.out_channels * dims.patch_rows(), 5e-3);
-        let (_, dk_direct, db_direct) = conv2d_backward(&input, &kernels, &d_out, &dims);
-        let patches = im2col(&input, &dims);
-        let (dk_gemm, db_gemm) = conv2d_backward_params(&patches, &d_out, &dims);
-        for (g, d) in dk_gemm.iter().zip(&dk_direct) {
-            assert_eq!(g.to_bits(), d.to_bits());
-        }
-        for (g, d) in db_gemm.iter().zip(&db_direct) {
-            assert_eq!(g.to_bits(), d.to_bits());
-        }
+        let input = pseudo(DIMS.in_channels * DIMS.in_h * DIMS.in_w, 1e-2);
+        let kernels = pseudo(DIMS.out_channels * DIMS.patch_cols(), 3e-3);
+        let d_out = pseudo(DIMS.out_channels * DIMS.patch_rows(), 5e-3);
+        let (_, dk_direct, db_direct) = conv2d_backward(&input, &kernels, &d_out, &DIMS);
+        let mut dk_gemm = vec![f64::NAN; dk_direct.len()];
+        let mut db_gemm = vec![f64::NAN; db_direct.len()];
+        let patches = patches_of(&input);
+        conv2d_backward_params_into(&patches, &d_out, &DIMS, &mut dk_gemm, &mut db_gemm);
+        assert_same_bits(&dk_gemm, &dk_direct);
+        assert_same_bits(&db_gemm, &db_direct);
     }
 
     #[test]
@@ -616,7 +541,8 @@ mod tests {
         // the old zero-skip fast path silently dropped it.
         let out = conv2d_forward(&[f64::NAN], &[0.0], &[0.0], &dims_1ch(1, 1, 1));
         assert!(out[0].is_nan());
-        let d_in = conv2d_backward_input(&[0.0], &[f64::NAN], &dims_1ch(1, 1, 1));
+        let mut d_in = [0.0];
+        conv2d_backward_input_into(&[0.0], &[f64::NAN], &dims_1ch(1, 1, 1), &mut d_in);
         assert!(d_in[0].is_nan());
     }
 

@@ -25,14 +25,13 @@ pub mod simd;
 pub mod tensor;
 
 pub use conv::{
-    conv2d_backward, conv2d_backward_input, conv2d_backward_input_into, conv2d_backward_params,
-    conv2d_backward_params_into, conv2d_forward, conv2d_forward_gemm, conv2d_forward_gemm_into,
-    conv2d_forward_gemm_on, im2col, im2col_into, Conv2dDims,
+    conv2d_backward, conv2d_backward_input_into, conv2d_backward_params_into, conv2d_forward,
+    conv2d_forward_gemm_into, conv2d_forward_gemm_on, im2col_into, Conv2dDims,
 };
 pub use elem::Elem;
 pub use ops::{
-    matmul, matmul_acc, matmul_acc_f32, matmul_nt, matmul_nt_acc, matmul_nt_acc_f32, matvec,
-    matvec_transposed, outer_product,
+    matmul_acc, matmul_acc_f32, matmul_nt_acc, matmul_nt_acc_f32, matvec, matvec_transposed,
+    outer_product,
 };
 pub use pool::{maxpool2d_backward, maxpool2d_forward, PoolDims};
 pub use simd::{kernel_backend, set_force_scalar};

@@ -241,18 +241,6 @@ pub fn matmul_acc(c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: us
     matmul_acc_tiles(c, a, b, m, k, n);
 }
 
-/// Dense matrix–matrix product: `C[m,n] = A[m,k] · B[k,n]`.
-///
-/// A zero-initialising wrapper over the blocked [`matmul_acc`] kernel.
-///
-/// # Panics
-/// Panics if buffer lengths disagree with the stated dimensions.
-pub fn matmul(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
-    let mut c = vec![0.0; m * n];
-    matmul_acc(&mut c, a, b, m, k, n);
-    c
-}
-
 /// Accumulating product against a transposed right operand:
 /// `C[m,n] += A[m,k] · Bᵀ` where `B` is stored row-major as `[n,k]`.
 ///
@@ -272,17 +260,6 @@ pub fn matmul_nt_acc(c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n:
         return;
     }
     matmul_nt_acc_tiles(c, a, b, m, k, n);
-}
-
-/// Product against a transposed right operand: `C[m,n] = A[m,k] · Bᵀ` for
-/// row-major `B[n,k]`. Zero-initialising wrapper over [`matmul_nt_acc`].
-///
-/// # Panics
-/// Panics if buffer lengths disagree with the stated dimensions.
-pub fn matmul_nt(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
-    let mut c = vec![0.0; m * n];
-    matmul_nt_acc(&mut c, a, b, m, k, n);
-    c
 }
 
 /// f32 accumulating matrix–matrix product: `C[m,n] += A[m,k] · B[k,n]`.
@@ -419,14 +396,23 @@ mod tests {
     #[test]
     fn matmul_small_known() {
         // [1 2; 3 4] · [5 6; 7 8] = [19 22; 43 50]
-        let c = matmul(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0], 2, 2, 2);
+        let mut c = vec![0.0; 4];
+        matmul_acc(
+            &mut c,
+            &[1.0, 2.0, 3.0, 4.0],
+            &[5.0, 6.0, 7.0, 8.0],
+            2,
+            2,
+            2,
+        );
         assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]
     fn matmul_rectangular() {
         // [1 0 2] (1x3) · [[1],[2],[3]] (3x1) = [7]
-        let c = matmul(&[1.0, 0.0, 2.0], &[1.0, 2.0, 3.0], 1, 3, 1);
+        let mut c = vec![0.0];
+        matmul_acc(&mut c, &[1.0, 0.0, 2.0], &[1.0, 2.0, 3.0], 1, 3, 1);
         assert_eq!(c, vec![7.0]);
     }
 
@@ -434,7 +420,9 @@ mod tests {
     fn matmul_identity() {
         let a = vec![1.0, 0.0, 0.0, 1.0];
         let b = vec![3.0, 4.0, 5.0, 6.0];
-        assert_eq!(matmul(&a, &b, 2, 2, 2), b);
+        let mut c = vec![0.0; 4];
+        matmul_acc(&mut c, &a, &b, 2, 2, 2);
+        assert_eq!(c, b);
     }
 
     #[test]
@@ -466,8 +454,10 @@ mod tests {
                     b[l * n + j] = bt[j * k + l];
                 }
             }
-            let expect = matmul(&a, &b, m, k, n);
-            let got = matmul_nt(&a, &bt, m, k, n);
+            let mut expect = vec![0.0; m * n];
+            matmul_acc(&mut expect, &a, &b, m, k, n);
+            let mut got = vec![0.0; m * n];
+            matmul_nt_acc(&mut got, &a, &bt, m, k, n);
             let mut got_scalar = vec![0.0; m * n];
             scalar::matmul_nt_acc(&mut got_scalar, &a, &bt, m, k, n);
             for ((g, s), e) in got.iter().zip(&got_scalar).zip(&expect) {
@@ -523,7 +513,8 @@ mod tests {
     fn matmul_propagates_nan_through_zero_operands() {
         // A NaN activation must poison the product even when the other
         // operand is 0 — the old zero-skip fast path silently dropped it.
-        let c = matmul(&[0.0, f64::NAN], &[f64::NAN, 0.0], 1, 2, 1);
+        let mut c = vec![0.0];
+        matmul_acc(&mut c, &[0.0, f64::NAN], &[f64::NAN, 0.0], 1, 2, 1);
         assert!(c[0].is_nan());
         let y = matvec_transposed(&[f64::NAN], &[0.0], 1, 1);
         assert!(y[0].is_nan());
@@ -577,6 +568,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong length")]
     fn matmul_checks_lengths() {
-        matmul(&[1.0], &[1.0], 2, 2, 2);
+        matmul_acc(&mut [0.0; 4], &[1.0], &[1.0], 2, 2, 2);
     }
 }

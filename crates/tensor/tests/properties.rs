@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor kernels.
 
 use dpaudit_tensor::{
-    conv2d_backward, conv2d_forward, matmul, matvec, matvec_transposed, maxpool2d_forward,
+    conv2d_backward, conv2d_forward, matmul_acc, matvec, matvec_transposed, maxpool2d_forward,
     outer_product, Conv2dDims, PoolDims, Tensor,
 };
 use proptest::prelude::*;
@@ -48,7 +48,8 @@ proptest! {
     /// matmul with a vector as a 1-column matrix agrees with matvec.
     #[test]
     fn matmul_matvec_consistency(w in small_vec(12), x in small_vec(4)) {
-        let mm = matmul(&w, &x, 3, 4, 1);
+        let mut mm = vec![0.0; 3];
+        matmul_acc(&mut mm, &w, &x, 3, 4, 1);
         let mv = matvec(&w, &x, 3, 4);
         for i in 0..3 {
             prop_assert!((mm[i] - mv[i]).abs() < 1e-12);

@@ -77,6 +77,20 @@ fn wrong_input_dimension_panics() {
 }
 
 #[test]
+#[should_panic(expected = "kernel larger than input")]
+fn undersized_image_panics_in_forward() {
+    let model = mnist_cnn(&mut seeded_rng(5));
+    model.forward(&Tensor::full(&[1, 2, 2], 0.5));
+}
+
+#[test]
+#[should_panic(expected = "kernel larger than input")]
+fn undersized_image_panics_in_per_example_grad() {
+    let model = mnist_cnn(&mut seeded_rng(6));
+    model.per_example_grad(&Tensor::full(&[1, 2, 2], 0.5), 0);
+}
+
+#[test]
 #[should_panic(expected = "sampling rate must be in")]
 fn minibatch_rate_above_one_panics() {
     MinibatchConfig::new(ClippingStrategy::Flat(1.0), 0.1, 1, 1.5, 1.0);
