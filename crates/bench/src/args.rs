@@ -7,11 +7,19 @@
 /// * `--seed N`  — master seed (default 42).
 /// * `--json`    — additionally emit a JSON blob of the results.
 /// * `--steps N` — override the number of training steps (default 30).
-/// * `--threads N`   — worker threads for engine-backed batches (default: all cores).
+/// * `--threads N`   — worker threads for the trial batches (default: all cores).
 /// * `--batch-threads N` — clip-loop worker threads inside each trial
 ///   (default 1 = sequential; 0 = all cores). Cannot change any result.
-/// * `--store-dir D` — persist engine-backed batches as resumable trial
-///   stores under directory `D` (see `dpaudit-runtime`).
+/// * `--store-dir D` — persist the trial batches as resumable trial stores
+///   under directory `D` (see `dpaudit-runtime`).
+///
+/// The last three are engine flags: they apply to every trial batch, since
+/// every batch runs through [`crate::run_batch_engine`]. Rerunning a binary
+/// with the same flags finishes or replays its stores. `dpaudit audit
+/// resume` can finish a store too, but it rebuilds the DS-maximising pair
+/// and uses no test set. So it fits the stores of table2, fig05, fig06,
+/// fig08–10 and `debug_probe`. Stores of fig04's other pairs, fig07 and
+/// `ablation_clipping` must be finished by their own binary.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Repetition count, if given.
@@ -24,7 +32,7 @@ pub struct Args {
     pub json: bool,
     /// Training-step override.
     pub steps: Option<usize>,
-    /// Worker threads for engine-backed batches (0 = machine parallelism).
+    /// Worker threads for the trial batches (0 = machine parallelism).
     pub threads: usize,
     /// Clip-loop worker threads inside each trial (1 = sequential,
     /// 0 = machine parallelism).

@@ -7,7 +7,9 @@
 //! and test accuracy — showing how C mediates the tightness/utility
 //! trade-off.
 
-use dpaudit_bench::{fmt_sig, param_row, print_table, run_batch_parallel, Args, Workload};
+use dpaudit_bench::{
+    fmt_sig, param_row, print_table, run_batch_engine, Args, EngineBatch, Workload,
+};
 use dpaudit_core::{ChallengeMode, TrialSettings};
 use dpaudit_dp::{calibrate_noise_multiplier_closed_form, NeighborMode};
 use dpaudit_dpsgd::SensitivityScaling;
@@ -17,8 +19,10 @@ fn main() {
     let args = Args::parse();
     let reps = args.resolve_reps(5, 50);
     let steps = args.resolve_steps();
+    let engine = args.engine_opts();
     let workload = Workload::Mnist;
-    let world = workload.world(args.seed, workload.default_train_size());
+    let train_size = workload.default_train_size();
+    let world = workload.world(args.seed, train_size);
     let row = param_row(0.90, workload.delta());
     let pair = workload.max_pair(&world, NeighborMode::Bounded);
 
@@ -39,13 +43,20 @@ fn main() {
             .challenge(ChallengeMode::RandomBit)
             .build()
             .expect("valid trial settings");
-        let batch = run_batch_parallel(
-            workload,
-            &pair,
-            &settings,
-            Some(&world.test),
-            reps,
-            split_seed(args.seed, 700 + ci as u64),
+        let batch = run_batch_engine(
+            &EngineBatch {
+                workload,
+                pair: &pair,
+                settings: &settings,
+                test_set: Some(&world.test),
+                reps,
+                master_seed: split_seed(args.seed, 700 + ci as u64),
+                world_seed: args.seed,
+                train_size,
+                row,
+                label: format!("ablation_clipping_{}_c{clip}", workload.key()),
+            },
+            &engine,
         );
         let all_ls: Vec<f64> = batch
             .trials

@@ -9,7 +9,7 @@
 //! gradient differences than DS-minimising ones.
 
 use dpaudit_bench::{
-    arm_settings, fmt_sig, param_row, print_table, run_batch_parallel, Args, Workload,
+    arm_settings, fmt_sig, param_row, print_table, run_batch_engine, Args, EngineBatch, Workload,
 };
 use dpaudit_core::ChallengeMode;
 use dpaudit_dp::NeighborMode;
@@ -20,6 +20,7 @@ fn main() {
     let args = Args::parse();
     let reps = args.resolve_reps(5, 250);
     let steps = args.resolve_steps();
+    let engine = args.engine_opts();
     let mut json = Vec::new();
 
     println!("Figure 4: distribution of n*||g_i(D) - g_i(D')|| for DS-max vs DS-min D'");
@@ -30,7 +31,8 @@ fn main() {
             Workload::Mnist => 3,
             Workload::Purchase => 1,
         };
-        let world = workload.world(args.seed, workload.default_train_size());
+        let train_size = workload.default_train_size();
+        let world = workload.world(args.seed, train_size);
         let maxers = workload.bounded_ranked(&world, top_k, true);
         let miners = workload.bounded_ranked(&world, top_k, false);
         let row = param_row(0.90, workload.delta());
@@ -46,16 +48,23 @@ fn main() {
         for (rank_kind, ranked) in [("max DS", &maxers), ("min DS", &miners)] {
             for (rank, cand) in ranked.iter().enumerate() {
                 let pair = NeighborPair::from_spec(&world.train, &cand.spec);
-                let batch = run_batch_parallel(
-                    workload,
-                    &pair,
-                    &settings,
-                    None,
-                    reps,
-                    split_seed(
-                        args.seed,
-                        (rank as u64 + 1) * 7 + u64::from(rank_kind == "max DS"),
-                    ),
+                let batch = run_batch_engine(
+                    &EngineBatch {
+                        workload,
+                        pair: &pair,
+                        settings: &settings,
+                        test_set: None,
+                        reps,
+                        master_seed: split_seed(
+                            args.seed,
+                            (rank as u64 + 1) * 7 + u64::from(rank_kind == "max DS"),
+                        ),
+                        world_seed: args.seed,
+                        train_size,
+                        row,
+                        label: format!("fig04_{}_{}_{}", workload.key(), &rank_kind[..3], rank + 1),
+                    },
+                    &engine,
                 );
                 let all_ls: Vec<f64> = batch
                     .trials

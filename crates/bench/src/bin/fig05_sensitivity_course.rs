@@ -9,7 +9,8 @@
 //! clearly below 2C.
 
 use dpaudit_bench::{
-    arm_settings, fmt_sig, param_row, print_table, run_batch_parallel, Args, Workload, CLIP_NORM,
+    arm_settings, fmt_sig, param_row, print_table, run_batch_engine, Args, EngineBatch, Workload,
+    CLIP_NORM,
 };
 use dpaudit_core::ChallengeMode;
 use dpaudit_dp::NeighborMode;
@@ -20,6 +21,7 @@ fn main() {
     let args = Args::parse();
     let reps = args.resolve_reps(10, 1000);
     let steps = args.resolve_steps();
+    let engine = args.engine_opts();
     let workloads = if args.full {
         vec![Workload::Mnist, Workload::Purchase]
     } else {
@@ -31,7 +33,8 @@ fn main() {
     println!("(reps: {reps}, steps: {steps}; paper: 1000 reps)\n");
 
     for workload in workloads {
-        let world = workload.world(args.seed, workload.default_train_size());
+        let train_size = workload.default_train_size();
+        let world = workload.world(args.seed, train_size);
         let row = param_row(0.90, workload.delta());
         for (mode, gs) in [
             (NeighborMode::Bounded, 2.0 * CLIP_NORM),
@@ -45,13 +48,20 @@ fn main() {
                 mode,
                 ChallengeMode::AlwaysD,
             );
-            let batch = run_batch_parallel(
-                workload,
-                &pair,
-                &settings,
-                None,
-                reps,
-                split_seed(args.seed, mode as u64 + 31),
+            let batch = run_batch_engine(
+                &EngineBatch {
+                    workload,
+                    pair: &pair,
+                    settings: &settings,
+                    test_set: None,
+                    reps,
+                    master_seed: split_seed(args.seed, mode as u64 + 31),
+                    world_seed: args.seed,
+                    train_size,
+                    row,
+                    label: format!("fig05_{}_{mode}", workload.key()),
+                },
+                &engine,
             );
             // Per-step aggregation across repetitions.
             let mut rows = Vec::new();

@@ -9,7 +9,8 @@
 //! |D| = 300 (single-core machine), `--full` raises it to 2000.
 
 use dpaudit_bench::{
-    arm_settings, fmt_sig, param_row, print_table, run_batch_parallel, Args, Workload, ARMS,
+    arm_settings, fmt_sig, param_row, print_table, run_batch_engine, Args, EngineBatch, Workload,
+    ARMS,
 };
 use dpaudit_core::ChallengeMode;
 use dpaudit_math::{split_seed, Summary};
@@ -18,6 +19,7 @@ fn main() {
     let args = Args::parse();
     let reps = args.resolve_reps(5, 10);
     let steps = args.resolve_steps();
+    let engine = args.engine_opts();
     let train_size = if args.full { 2000 } else { 300 };
     let workload = Workload::Mnist;
     let rho_beta_bound = 0.90;
@@ -32,13 +34,20 @@ fn main() {
     for (arm_idx, (scaling, mode)) in ARMS.iter().enumerate() {
         let pair = workload.max_pair(&world, *mode);
         let settings = arm_settings(&row, steps, *scaling, *mode, ChallengeMode::AlwaysD);
-        let batch = run_batch_parallel(
-            workload,
-            &pair,
-            &settings,
-            Some(&world.test),
-            reps,
-            split_seed(args.seed, 201 + arm_idx as u64),
+        let batch = run_batch_engine(
+            &EngineBatch {
+                workload,
+                pair: &pair,
+                settings: &settings,
+                test_set: Some(&world.test),
+                reps,
+                master_seed: split_seed(args.seed, 201 + arm_idx as u64),
+                world_seed: args.seed,
+                train_size,
+                row,
+                label: format!("fig07_{}_{scaling}_{mode}", workload.key()),
+            },
+            &engine,
         );
         let accs = batch.test_accuracies();
         let s = Summary::of(&accs);

@@ -13,6 +13,7 @@ fn main() {
     let args = Args::parse();
     let reps = args.resolve_reps(5, 250);
     let steps = args.resolve_steps();
+    let engine = args.engine_opts();
     let workloads = if args.full {
         vec![Workload::Mnist, Workload::Purchase]
     } else {
@@ -23,7 +24,7 @@ fn main() {
     );
     let mut json = Vec::new();
     for workload in workloads {
-        let cells = run_audit_grid(workload, reps, steps, args.seed);
+        let cells = run_audit_grid(workload, reps, steps, args.seed, &engine);
         print_audit_grid(
             &format!("== {} ==", workload.name()),
             &cells,

@@ -11,6 +11,7 @@ fn main() {
     let args = Args::parse();
     let reps = args.resolve_reps(20, 250);
     let steps = args.resolve_steps();
+    let engine = args.engine_opts();
     let workloads = if args.full {
         vec![Workload::Mnist, Workload::Purchase]
     } else {
@@ -19,7 +20,7 @@ fn main() {
     println!("Figure 9: eps' from max posterior belief (reps {reps}, steps {steps}; paper: 250)\n");
     let mut json = Vec::new();
     for workload in workloads {
-        let cells = run_audit_grid(workload, reps, steps, args.seed);
+        let cells = run_audit_grid(workload, reps, steps, args.seed, &engine);
         print_audit_grid(
             &format!("== {} ==", workload.name()),
             &cells,

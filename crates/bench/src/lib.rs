@@ -3,7 +3,8 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the paper.
 //! They share: a tiny flag parser (`--reps`, `--full`, `--seed`, `--json`),
 //! the paper's parameter grid (Table 1), dataset/pair setup built on the
-//! dataset-sensitivity heuristic, and aligned-table printing.
+//! dataset-sensitivity heuristic, one trial runner ([`run_batch_engine`])
+//! and aligned-table printing.
 
 use dpaudit_core::{epsilon_for_rho_beta, rho_alpha};
 use dpaudit_datasets::{
@@ -211,33 +212,6 @@ impl Workload {
     }
 }
 
-/// Run a trial batch with rayon across per-trial seeds (deterministic:
-/// trial `i` runs on `trial_seed(master_seed, i)` whatever the scheduling).
-pub fn run_batch_parallel(
-    workload: Workload,
-    pair: &NeighborPair,
-    settings: &dpaudit_core::TrialSettings,
-    test_set: Option<&Dataset>,
-    reps: usize,
-    master_seed: u64,
-) -> dpaudit_core::DiBatchResult {
-    use rayon::prelude::*;
-    assert!(reps > 0, "run_batch_parallel: reps must be positive");
-    let trials: Vec<_> = (0..reps)
-        .into_par_iter()
-        .map(|i| {
-            dpaudit_core::run_di_trial(
-                pair,
-                settings,
-                test_set,
-                |rng| workload.build_model(rng),
-                dpaudit_core::trial_seed(master_seed, i),
-            )
-        })
-        .collect();
-    dpaudit_core::DiBatchResult { trials }
-}
-
 /// Execution options for [`run_batch_engine`].
 #[derive(Debug, Clone)]
 pub struct EngineOpts {
@@ -279,11 +253,15 @@ pub struct EngineBatch<'a> {
 /// Run a batch on the `dpaudit-runtime` engine and reassemble the result as
 /// a [`dpaudit_core::DiBatchResult`] in trial-index order.
 ///
-/// Seed-for-seed identical to [`run_batch_parallel`] (both derive trial `i`
-/// from `trial_seed(master_seed, i)`), but adds a bounded worker pool,
-/// durable trial stores, and crash-safe resume: with a `store_dir`, a batch
-/// interrupted mid-run picks up from the completed trials on the next
-/// invocation, and a finished store is replayed without re-training.
+/// Every trial batch of the reproduction binaries runs here. Trial `i` uses
+/// `trial_seed(master_seed, i)`, so the result equals the sequential
+/// [`dpaudit_core::run_di_trials`] trial for trial, per-step series
+/// included (records are kept at [`dpaudit_core::RecordDetail::Full`]).
+/// With a `store_dir`, a batch interrupted mid-run picks up from the
+/// completed trials on the next invocation, and a finished store is
+/// replayed without re-training. The store header does not name the
+/// neighbour pair or the test set, so each batch of a binary needs its own
+/// label.
 ///
 /// # Panics
 /// Panics on store I/O failures (these binaries fail fast) or invalid
@@ -302,7 +280,7 @@ pub fn run_batch_engine(batch: &EngineBatch<'_>, opts: &EngineOpts) -> dpaudit_c
         target_epsilon: batch.row.epsilon,
         delta: batch.row.delta,
         rho_beta_bound: batch.row.rho_beta,
-        detail: dpaudit_core::RecordDetail::Summary,
+        detail: dpaudit_core::RecordDetail::Full,
         settings: batch.settings.clone(),
     };
 
@@ -440,8 +418,15 @@ pub struct AuditCell {
 
 /// Run the §6.4 auditing grid: for each Table-1 ε target and each scaling
 /// arm (bounded DP, as in the paper), run `reps` challenge trials and audit.
-pub fn run_audit_grid(workload: Workload, reps: usize, steps: usize, seed: u64) -> Vec<AuditCell> {
-    let world = workload.world(seed, workload.default_train_size());
+pub fn run_audit_grid(
+    workload: Workload,
+    reps: usize,
+    steps: usize,
+    seed: u64,
+    opts: &EngineOpts,
+) -> Vec<AuditCell> {
+    let train_size = workload.default_train_size();
+    let world = workload.world(seed, train_size);
     let pair = workload.max_pair(&world, NeighborMode::Bounded);
     let rho_betas = match workload {
         Workload::Mnist => MNIST_RHO_BETAS,
@@ -464,13 +449,20 @@ pub fn run_audit_grid(workload: Workload, reps: usize, steps: usize, seed: u64) 
                 NeighborMode::Bounded,
                 dpaudit_core::ChallengeMode::RandomBit,
             );
-            let batch = run_batch_parallel(
-                workload,
-                &pair,
-                &settings,
-                None,
-                reps,
-                split_seed(seed, 301 + (ei * 2 + si) as u64),
+            let batch = run_batch_engine(
+                &EngineBatch {
+                    workload,
+                    pair: &pair,
+                    settings: &settings,
+                    test_set: None,
+                    reps,
+                    master_seed: split_seed(seed, 301 + (ei * 2 + si) as u64),
+                    world_seed: seed,
+                    train_size,
+                    row,
+                    label: format!("grid_{}_{rb}_{scaling}", workload.key()),
+                },
+                opts,
             );
             let ls_floor = settings.dpsgd.ls_floor;
             let eps_ls: f64 = batch
@@ -600,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_engine_runners_agree_trial_for_trial() {
+    fn engine_runner_equals_the_sequential_reference_trial_for_trial() {
         let world = purchase_world(5, 8, 10, 0);
         let pair = Workload::Purchase.max_pair(&world, NeighborMode::Bounded);
         let row = param_row(0.9, PURCHASE_DELTA);
@@ -612,14 +604,6 @@ mod tests {
             dpaudit_core::ChallengeMode::RandomBit,
         );
         let (reps, master_seed) = (3, 17);
-        let parallel = run_batch_parallel(
-            Workload::Purchase,
-            &pair,
-            &settings,
-            None,
-            reps,
-            master_seed,
-        );
         let batch = EngineBatch {
             workload: Workload::Purchase,
             pair: &pair,
@@ -630,7 +614,7 @@ mod tests {
             world_seed: 5,
             train_size: 8,
             row,
-            label: "runner_agreement".into(),
+            label: "runner_reference".into(),
         };
         let opts = EngineOpts {
             threads: 2,
@@ -638,12 +622,64 @@ mod tests {
             store_dir: None,
         };
         let engine = run_batch_engine(&batch, &opts);
-        let summarized: Vec<_> = parallel
+        let reference = dpaudit_core::run_di_trials(
+            &pair,
+            &settings,
+            None,
+            |rng| Workload::Purchase.build_model(rng),
+            reps,
+            master_seed,
+        );
+        // Per-step series included: the figures read them.
+        assert!(engine
             .trials
-            .into_iter()
-            .map(|t| t.with_detail(dpaudit_core::RecordDetail::Summary))
-            .collect();
-        assert_eq!(summarized, engine.trials);
+            .iter()
+            .all(|t| t.local_sensitivities.len() == 2));
+        assert_eq!(engine.trials, reference.trials);
+    }
+
+    #[test]
+    fn engine_store_round_trips_the_batch() {
+        let world = purchase_world(6, 8, 10, 0);
+        let pair = Workload::Purchase.max_pair(&world, NeighborMode::Unbounded);
+        let row = param_row(0.75, PURCHASE_DELTA);
+        let settings = arm_settings(
+            &row,
+            2,
+            dpaudit_dpsgd::SensitivityScaling::Global,
+            NeighborMode::Unbounded,
+            dpaudit_core::ChallengeMode::RandomBit,
+        );
+        let reps = 3;
+        let batch = EngineBatch {
+            workload: Workload::Purchase,
+            pair: &pair,
+            settings: &settings,
+            test_set: None,
+            reps,
+            master_seed: 23,
+            world_seed: 6,
+            train_size: 8,
+            row,
+            label: "round_trip".into(),
+        };
+        let dir = std::env::temp_dir().join(format!("dpaudit-bench-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = EngineOpts {
+            threads: 2,
+            batch_threads: 1,
+            store_dir: Some(dir.clone()),
+        };
+        let first = run_batch_engine(&batch, &opts);
+        let replayed = run_batch_engine(&batch, &opts);
+        assert_eq!(first.trials, replayed.trials);
+        let store = std::fs::read_to_string(dir.join("round_trip.jsonl")).unwrap();
+        assert_eq!(
+            store.lines().count(),
+            1 + reps,
+            "header plus one line per trial"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

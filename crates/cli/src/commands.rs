@@ -538,6 +538,9 @@ mod tests {
 
     #[test]
     fn audit_run_resume_report_round_trip() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
         let dir = std::env::temp_dir().join("dpaudit-cli-engine-test");
         std::fs::create_dir_all(&dir).unwrap();
         let store = dir.join("run.jsonl");
@@ -764,6 +767,9 @@ mod tests {
 
     #[test]
     fn watch_waits_for_a_store_that_appears_after_launch() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
         let dir = std::env::temp_dir().join("dpaudit-cli-watch-late-store");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -855,6 +861,9 @@ mod tests {
 
     #[test]
     fn audit_report_flags_incomplete_store() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
         let dir = std::env::temp_dir().join("dpaudit-cli-engine-partial");
         std::fs::create_dir_all(&dir).unwrap();
         let store = dir.join("partial.jsonl");

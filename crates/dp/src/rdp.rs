@@ -464,6 +464,24 @@ mod tests {
         assert!(eps.is_finite());
         // Every order accumulated something finite and non-negative.
         assert!(acc.rdp().iter().all(|r| r.is_finite() && *r >= 0.0));
+
+        let subsampled = |q: f64, z: f64, steps: usize| {
+            let mut acc = RdpAccountant::new();
+            for _ in 0..steps {
+                acc.add_subsampled_gaussian_step(q, z);
+            }
+            acc.epsilon(1e-5).0
+        };
+        let full = |z: f64, steps: usize| {
+            let mut acc = RdpAccountant::new();
+            acc.add_gaussian_steps(z, steps);
+            acc.epsilon(1e-5).0
+        };
+        // q = 1 samples every record: plain Gaussian composition.
+        assert!((subsampled(1.0, 2.0, 5) - full(2.0, 5)).abs() < 1e-9);
+        assert!(subsampled(0.2, 1.5, 10) < subsampled(0.2, 1.5, 40));
+        // Amplification by subsampling: far below the full-batch cost.
+        assert!(subsampled(0.2, 1.5, 30) < full(1.5, 30) / 2.0);
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod clip;
 pub mod config;
 pub mod exec;
 pub mod federated;
-pub mod minibatch;
 pub mod optimizer;
 pub mod pair;
 pub mod trainer;
@@ -38,7 +37,6 @@ pub use clip::{clip_to_norm, clipped_gradient, AdaptiveClipConfig, ClippingStrat
 pub use config::{BackendChoice, ComputeMode, DpsgdConfig, SensitivityScaling};
 pub use exec::{batch_threads, set_batch_threads, Batch, ClipSum, StepExec, CLIP_CHUNK};
 pub use federated::{train_federated, FederatedConfig, FederatedOutcome, RoundRecord};
-pub use minibatch::{train_minibatch_dpsgd, MinibatchConfig, MinibatchOutcome};
 pub use optimizer::{Optimizer, OptimizerState};
 pub use pair::NeighborPair;
 pub use trainer::{train_collect, train_dpsgd, train_dpsgd_subsampled};

@@ -63,9 +63,8 @@ pub fn train_dpsgd<R: Rng + ?Sized>(
 /// subsampled Gaussian RDP accountant the privacy claim composes through
 /// (`add_subsampled_gaussian_step`):
 /// * Noise is always scaled to the clip bound (`σ = z·C`, the add/remove
-///   sensitivity of the clipped sum — the convention of
-///   [`crate::minibatch`]); local-sensitivity scaling would break the
-///   amplification analysis. The per-step local sensitivity is still
+///   sensitivity of the clipped sum); local-sensitivity scaling would
+///   break the amplification analysis. The per-step local sensitivity is still
 ///   estimated and recorded for diagnostics.
 /// * The stored hypothesis gradients condition on the differing record
 ///   having been sampled, so the adversary's centers are exact only for
@@ -674,6 +673,69 @@ mod tests {
             assert_eq!(r.sensitivity_used, 1.0);
             assert!(r.local_sensitivity >= 0.0);
         }
+    }
+
+    #[test]
+    fn subsampled_empty_draw_still_takes_a_noisy_step() {
+        let (model0, pair) = sized_setup(37, 4);
+        let c = DpsgdConfig::new(
+            1.0,
+            0.05,
+            1,
+            NeighborMode::Bounded,
+            2.0,
+            SensitivityScaling::Global,
+        );
+        let q = 0.1;
+        let mut sample_rng = seeded_rng(39);
+        let drawn = (0..pair.d.len())
+            .filter(|_| sample_rng.gen::<f64>() < q)
+            .count();
+        assert_eq!(drawn, 0, "the sampling stream must draw no record");
+        let mut model = model0.clone();
+        let mut records = Vec::new();
+        train_dpsgd_subsampled(
+            &mut model,
+            &pair,
+            true,
+            &c,
+            q,
+            &mut seeded_rng(38),
+            &mut seeded_rng(39),
+            |r| records.push(r),
+        );
+        let r = &records[0];
+        assert_eq!(r.mean_loss, 0.0);
+        assert!(r.clean_sum.iter().all(|&v| v == 0.0));
+        assert!(r.noisy_sum.iter().any(|&v| v != 0.0));
+        assert_ne!(model.params(), model0.params());
+    }
+
+    #[test]
+    fn subsampled_low_noise_training_reduces_loss() {
+        let (mut model, pair) = sized_setup(7, 60);
+        let initial = model.mean_loss(&pair.d.xs, &pair.d.ys);
+        // Generous budget: tiny noise, high sampling rate, many steps.
+        let c = DpsgdConfig::new(
+            5.0,
+            0.3,
+            120,
+            NeighborMode::Bounded,
+            0.01,
+            SensitivityScaling::Global,
+        );
+        train_dpsgd_subsampled(
+            &mut model,
+            &pair,
+            true,
+            &c,
+            0.8,
+            &mut seeded_rng(8),
+            &mut seeded_rng(9),
+            |_| {},
+        );
+        let fin = model.mean_loss(&pair.d.xs, &pair.d.ys);
+        assert!(fin < initial, "loss {initial} -> {fin}");
     }
 
     #[test]

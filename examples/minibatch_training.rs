@@ -12,7 +12,6 @@
 //! cargo run --release --example minibatch_training
 //! ```
 
-use dp_identifiability::dpsgd::{train_minibatch_dpsgd, ClippingStrategy, MinibatchConfig};
 use dp_identifiability::prelude::*;
 
 fn main() {
@@ -32,14 +31,34 @@ fn main() {
     );
 
     // -- mini-batch with Poisson subsampling ------------------------------
-    let cfg = MinibatchConfig::new(ClippingStrategy::Flat(3.0), 0.05, steps, q, z);
+    // The trainer releases the clipped sum with σ = z·C whatever the pair;
+    // the pair only names a differing record, and we train on D itself.
+    let cfg = DpsgdConfig::new(
+        3.0,
+        0.05,
+        steps,
+        NeighborMode::Unbounded,
+        z,
+        SensitivityScaling::Global,
+    );
+    let pair = NeighborPair::from_spec(&train, &NeighborSpec::Remove { index: 0 });
     let mut model = mnist_cnn(&mut rng);
-    let outcome = train_minibatch_dpsgd(&mut model, &train, &cfg, &mut rng);
-    let eps_amplified = outcome.epsilon(delta);
+    let mut accountant = RdpAccountant::new();
+    // Noise continues from `rng`; the batches come from a stream of their own.
+    train_dpsgd_subsampled(
+        &mut model,
+        &pair,
+        true,
+        &cfg,
+        q,
+        &mut rng,
+        &mut seeded_rng(30),
+        |_| accountant.add_subsampled_gaussian_step(q, z),
+    );
+    let eps_amplified = accountant.epsilon(delta).0;
     let acc = model.accuracy(&test.xs, &test.ys);
-    let mean_batch =
-        outcome.batch_sizes.iter().sum::<usize>() as f64 / outcome.batch_sizes.len() as f64;
-    println!("mini-batch (q = {q}, mean batch {mean_batch:.1}):");
+    let expected_batch = q * train.len() as f64;
+    println!("mini-batch (q = {q}, expected batch {expected_batch:.1}):");
     println!("  eps = {eps_amplified:.3} at delta = {delta} (subsampled RDP)");
     println!(
         "  identifiability: rho_beta = {:.3}, rho_alpha = {:.3}",

@@ -6,10 +6,14 @@ for bin in table1_parameters fig01_decision_boundary fig02_error_regions fig03_s
 done
 ./target/release/fig04_ds_vs_ls > results/fig04_ds_vs_ls.txt 2>&1 && echo "done fig04"
 ./target/release/fig05_sensitivity_course > results/fig05_sensitivity_course.txt 2>&1 && echo "done fig05"
-# Figure 6 and Table 2 run on the dpaudit-runtime audit engine: each arm is
-# persisted as a resumable trial store under results/stores/ (an interrupted
-# run can be finished with `dpaudit audit resume --store <file>`), and the
-# per-store reports are appended via the `dpaudit audit report` subcommand.
+# Every trial batch runs on the dpaudit-runtime audit engine. Figure 6 and
+# Table 2 persist each arm as a resumable trial store under results/stores/,
+# and the per-store reports are appended via the `dpaudit audit report`
+# subcommand. An interrupted run can be finished by rerunning its binary
+# with the same flags, or with `dpaudit audit resume --store <file>`. The
+# CLI rebuilds the DS-maximising pair and uses no test set, which fits
+# these stores and those of fig05, fig08-10 and debug_probe, but not
+# fig04's other pairs, fig07 or ablation_clipping.
 mkdir -p results/stores
 ./target/release/fig06_belief_distributions --store-dir results/stores > results/fig06_belief_distributions.txt 2>&1 && echo "done fig06"
 for store in results/stores/fig06_*.jsonl; do

@@ -1,12 +1,10 @@
 //! Integration tests for the extension features (DESIGN.md "optional /
 //! future-work" items): the analytic Gaussian mechanism, KOV optimal
 //! composition, per-layer and adaptive clipping, DP-Adam, the federated and
-//! mini-batch trainers, and the scalar-query experiment — all exercised
+//! Poisson-subsampled trainers, and the scalar-query experiment — all exercised
 //! through the umbrella crate's public API.
 
-use dp_identifiability::dpsgd::{
-    train_federated, train_minibatch_dpsgd, MinibatchConfig, Optimizer,
-};
+use dp_identifiability::dpsgd::{train_federated, Optimizer};
 use dp_identifiability::prelude::*;
 
 #[test]
@@ -99,10 +97,37 @@ fn adam_and_sgd_share_the_privacy_account() {
 fn minibatch_epsilon_is_amplified_vs_full_batch() {
     let mut rng = seeded_rng(5);
     let data = generate_purchase(&mut rng, 100);
+    let pair = NeighborPair::from_spec(&data, &NeighborSpec::Remove { index: 0 });
     let mut model = purchase_mlp(&mut rng);
-    let cfg = MinibatchConfig::new(ClippingStrategy::Flat(3.0), 0.005, 20, 0.1, 1.0);
-    let out = train_minibatch_dpsgd(&mut model, &data, &cfg, &mut rng);
-    let amplified = out.epsilon(1e-3);
+    let cfg = DpsgdConfig::new(
+        3.0,
+        0.005,
+        20,
+        NeighborMode::Unbounded,
+        1.0,
+        SensitivityScaling::Global,
+    );
+    let q = 0.1;
+    // One subsampled Gaussian step per release, each with σ = z·C.
+    let mut accountant = RdpAccountant::new();
+    let mut releases = 0;
+    train_dpsgd_subsampled(
+        &mut model,
+        &pair,
+        true,
+        &cfg,
+        q,
+        &mut rng,
+        &mut seeded_rng(6),
+        |r| {
+            assert_eq!(r.sigma, 3.0);
+            accountant.add_subsampled_gaussian_step(q, cfg.noise_multiplier);
+            releases += 1;
+        },
+    );
+    assert_eq!(releases, 20);
+    let amplified = accountant.epsilon(1e-3).0;
+    assert!(amplified > 0.0);
     let mut full = RdpAccountant::new();
     full.add_gaussian_steps(1.0, 20);
     let full_eps = full.epsilon(1e-3).0;

@@ -2,7 +2,6 @@
 //! malformed inputs rather than propagate silent numerical corruption —
 //! wrong privacy parameters are worse than crashes in this domain.
 
-use dp_identifiability::dpsgd::MinibatchConfig;
 use dp_identifiability::prelude::*;
 
 #[test]
@@ -91,9 +90,28 @@ fn undersized_image_panics_in_per_example_grad() {
 }
 
 #[test]
-#[should_panic(expected = "sampling rate must be in")]
+#[should_panic(expected = "q must be in")]
 fn minibatch_rate_above_one_panics() {
-    MinibatchConfig::new(ClippingStrategy::Flat(1.0), 0.1, 1, 1.5, 1.0);
+    let data = generate_purchase(&mut seeded_rng(7), 4);
+    let pair = NeighborPair::from_spec(&data, &NeighborSpec::Remove { index: 0 });
+    let cfg = DpsgdConfig::new(
+        1.0,
+        0.1,
+        1,
+        NeighborMode::Unbounded,
+        1.0,
+        SensitivityScaling::Global,
+    );
+    train_dpsgd_subsampled(
+        &mut purchase_mlp(&mut seeded_rng(8)),
+        &pair,
+        true,
+        &cfg,
+        1.5,
+        &mut seeded_rng(9),
+        &mut seeded_rng(10),
+        |_| {},
+    );
 }
 
 #[test]
