@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Run the same small audits with two `dpaudit` binaries and compare their
-# trial stores byte for byte. The native f64 path's stores are a fixed
-# point: any change that moves one must do so on purpose.
+# trial stores and rendered reports byte for byte. The native f64 path's
+# stores are a fixed point: any change that moves one must do so on
+# purpose. A report is built from the store's records, so a change to the
+# report alone shows in the reports and not in the stores.
 #
 # usage: bytes-vs-base.sh BASE_DPAUDIT HEAD_DPAUDIT [WORK_DIR]
 #
@@ -10,7 +12,9 @@
 # and Poisson-sampled (`--sampling-q 0.3`), and the threshold-MI adversary
 # (`--adversary mi`), bounded at full batch (its score comes from two
 # forward-pass losses) and unbounded Poisson-sampled (its reference loss
-# is the mean loss over D′). Exits 1 if any pair of stores differs.
+# is the mean loss over D′). Then compares `dpaudit demo` stdout for both
+# workloads at `--reps 4 --steps 3`. Exits 1 if any pair of stores,
+# reports or demo outputs differs.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -22,14 +26,26 @@ head_bin=$2
 work=${3:-bytes-vs-base}
 mkdir -p "$work"
 
-# audit BIN STORE FLAGS...: one audit into STORE; its progress goes to
-# STORE.log, shown only if the run fails.
+# audit BIN STORE FLAGS...: one audit into STORE, its rendered report in
+# STORE.report; its progress goes to STORE.log, shown only if the run
+# fails.
 audit() {
   local bin=$1 store=$2
   shift 2
   if ! "$bin" "$@" --out "$store" > "$store.report" 2> "$store.log"; then
     cat "$store.log" >&2
     exit 2
+  fi
+}
+
+# same WHAT BASE HEAD: cmp two files, report, and clear `status` on a
+# difference.
+same() {
+  if cmp "$2" "$3"; then
+    echo "same bytes: $1"
+  else
+    echo "differs: $1" >&2
+    status=1
   fi
 }
 
@@ -50,12 +66,24 @@ for workload in mnist purchase; do
     name="${workload}_${variant%%:*}"
     audit "$base_bin" "$work/base_$name.jsonl" "${flags[@]}"
     audit "$head_bin" "$work/head_$name.jsonl" "${flags[@]}"
-    if cmp "$work/base_$name.jsonl" "$work/head_$name.jsonl"; then
-      echo "same bytes: $name"
-    else
-      echo "stores differ: $name" >&2
-      status=1
+    same "store $name" "$work/base_$name.jsonl" "$work/head_$name.jsonl"
+    same "report $name" "$work/base_$name.jsonl.report" \
+      "$work/head_$name.jsonl.report"
+  done
+done
+
+for workload in mnist purchase; do
+  for side in base head; do
+    bin=$base_bin
+    [ "$side" = head ] && bin=$head_bin
+    out="$work/${side}_demo_$workload.txt"
+    if ! "$bin" demo --workload "$workload" --reps 4 --steps 3 \
+      > "$out" 2> "$out.log"; then
+      cat "$out.log" >&2
+      exit 2
     fi
   done
+  same "demo $workload" "$work/base_demo_$workload.txt" \
+    "$work/head_demo_$workload.txt"
 done
 exit "$status"

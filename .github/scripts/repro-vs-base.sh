@@ -7,10 +7,12 @@
 # usage: repro-vs-base.sh BASE_BIN_DIR HEAD_BIN_DIR [WORK_DIR]
 #
 # BASE_BIN_DIR and HEAD_BIN_DIR hold the built binaries (e.g.
-# `target/release`). Covers fig04, fig05, fig07, fig08 (whose audit grid
-# fig09 and fig10 share) and ablation_clipping at `--reps 2 --steps 3
-# --json`, and debug_probe at `--reps 2` (pass it `--steps` too once the
-# base honours that flag). Then runs the head's fig05 twice on one
+# `target/release`). Covers table2, fig04, fig05, fig06, fig07, fig08
+# (whose audit grid fig09 and fig10 share) and ablation_clipping at
+# `--reps 2 --steps 3 --json`, and debug_probe at `--reps 2` (pass it
+# `--steps` too once the base honours that flag). table2, fig06, fig08,
+# ablation_clipping and debug_probe print fields of the engine's audit
+# report. Then runs the head's fig05 twice on one
 # `--store-dir`: the second run must replay the stores and print the same
 # stdout. Exits 1 if any pair of outputs differs.
 set -euo pipefail
@@ -38,8 +40,10 @@ run() {
 small="--reps 2 --steps 3 --json"
 # BIN:FLAGS, one per compared run.
 cases=(
+  "table2_empirical_advantage:$small"
   "fig04_ds_vs_ls:$small"
   "fig05_sensitivity_course:$small"
+  "fig06_belief_distributions:$small"
   "fig07_test_accuracy:$small"
   "fig08_eps_from_ls:$small"
   "ablation_clipping:$small"

@@ -43,7 +43,7 @@ fn main() {
             .challenge(ChallengeMode::RandomBit)
             .build()
             .expect("valid trial settings");
-        let batch = run_batch_engine(
+        let (report, batch) = run_batch_engine(
             &EngineBatch {
                 workload,
                 pair: &pair,
@@ -69,12 +69,12 @@ fn main() {
             fmt_sig(clip),
             fmt_sig(ls.mean),
             fmt_sig(ls.mean / (2.0 * clip)),
-            fmt_sig(batch.advantage()),
+            fmt_sig(report.advantage),
             fmt_sig(acc.mean),
         ]);
         json.push(serde_json::json!({
             "clip": clip, "ls_mean": ls.mean, "ls_over_2c": ls.mean / (2.0 * clip),
-            "advantage": batch.advantage(), "accuracy_mean": acc.mean,
+            "advantage": report.advantage, "accuracy_mean": acc.mean,
         }));
     }
     print_table(

@@ -17,7 +17,7 @@ fn main() {
     for (scaling, mode) in ARMS {
         let pair = workload.max_pair(&world, mode);
         let settings = arm_settings(&row, steps, scaling, mode, ChallengeMode::RandomBit);
-        let batch = run_batch_engine(
+        let (report, batch) = run_batch_engine(
             &EngineBatch {
                 workload,
                 pair: &pair,
@@ -46,7 +46,7 @@ fn main() {
             &t.local_sensitivities[..steps.min(3)],
             t.sigmas[0],
             batch.success_rate(),
-            batch.advantage(),
+            report.advantage,
         );
     }
 }

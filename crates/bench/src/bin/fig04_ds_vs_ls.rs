@@ -48,7 +48,7 @@ fn main() {
         for (rank_kind, ranked) in [("max DS", &maxers), ("min DS", &miners)] {
             for (rank, cand) in ranked.iter().enumerate() {
                 let pair = NeighborPair::from_spec(&world.train, &cand.spec);
-                let batch = run_batch_engine(
+                let (_, batch) = run_batch_engine(
                     &EngineBatch {
                         workload,
                         pair: &pair,

@@ -48,7 +48,7 @@ fn main() {
                 mode,
                 ChallengeMode::AlwaysD,
             );
-            let batch = run_batch_engine(
+            let (_, batch) = run_batch_engine(
                 &EngineBatch {
                     workload,
                     pair: &pair,

@@ -38,7 +38,7 @@ fn main() {
         for (arm_idx, (scaling, mode)) in ARMS.iter().enumerate() {
             let pair = workload.max_pair(&world, *mode);
             let settings = arm_settings(&row, steps, *scaling, *mode, ChallengeMode::AlwaysD);
-            let batch = run_batch_engine(
+            let (report, batch) = run_batch_engine(
                 &EngineBatch {
                     workload,
                     pair: &pair,
@@ -76,12 +76,12 @@ fn main() {
                 fmt_sig(s.median),
                 fmt_sig(s.mean),
                 fmt_sig(s.max),
-                fmt_sig(batch.empirical_delta(rho_beta_bound)),
+                fmt_sig(report.empirical_delta),
             );
             json.push(serde_json::json!({
                 "workload": workload.name(), "scaling": scaling.to_string(),
                 "mode": mode.to_string(), "beliefs": beliefs,
-                "empirical_delta": batch.empirical_delta(rho_beta_bound),
+                "empirical_delta": report.empirical_delta,
             }));
         }
     }

@@ -34,7 +34,7 @@ fn main() {
     for (arm_idx, (scaling, mode)) in ARMS.iter().enumerate() {
         let pair = workload.max_pair(&world, *mode);
         let settings = arm_settings(&row, steps, *scaling, *mode, ChallengeMode::AlwaysD);
-        let batch = run_batch_engine(
+        let (_, batch) = run_batch_engine(
             &EngineBatch {
                 workload,
                 pair: &pair,

@@ -35,7 +35,7 @@ fn main() {
             let prow = param_row(rho_beta_bound, workload.delta());
             let pair = workload.max_pair(&world, *mode);
             let settings = arm_settings(&prow, steps, *scaling, *mode, ChallengeMode::RandomBit);
-            let batch = run_batch_engine(
+            let (report, _) = run_batch_engine(
                 &EngineBatch {
                     workload,
                     pair: &pair,
@@ -50,12 +50,12 @@ fn main() {
                 },
                 &engine,
             );
-            row.push(fmt_sig(batch.advantage()));
-            row.push(fmt_sig(batch.empirical_delta(rho_beta_bound)));
+            row.push(fmt_sig(report.advantage));
+            row.push(fmt_sig(report.empirical_delta));
             cell_json[format!("{}_advantage", workload.name())] =
-                serde_json::json!(batch.advantage());
+                serde_json::json!(report.advantage);
             cell_json[format!("{}_empirical_delta", workload.name())] =
-                serde_json::json!(batch.empirical_delta(rho_beta_bound));
+                serde_json::json!(report.empirical_delta);
             cell_json[format!("{}_rho_alpha_target", workload.name())] =
                 serde_json::json!(prow.rho_alpha);
         }

@@ -6,7 +6,7 @@
 //! dataset-sensitivity heuristic, one trial runner ([`run_batch_engine`])
 //! and aligned-table printing.
 
-use dpaudit_core::{epsilon_for_rho_beta, rho_alpha};
+use dpaudit_core::{epsilon_for_rho_beta, rho_alpha, AuditReport};
 use dpaudit_datasets::{
     bounded_candidates, generate_mnist, generate_purchase, unbounded_candidates, Dataset,
     Dissimilarity, Hamming, NegSsim, RankedNeighbor,
@@ -250,8 +250,9 @@ pub struct EngineBatch<'a> {
     pub label: String,
 }
 
-/// Run a batch on the `dpaudit-runtime` engine and reassemble the result as
-/// a [`dpaudit_core::DiBatchResult`] in trial-index order.
+/// Run a batch on the `dpaudit-runtime` engine. Returns the engine's
+/// [`AuditReport`] and the trials reassembled as a
+/// [`dpaudit_core::DiBatchResult`] in trial-index order.
 ///
 /// Every trial batch of the reproduction binaries runs here. Trial `i` uses
 /// `trial_seed(master_seed, i)`, so the result equals the sequential
@@ -266,7 +267,10 @@ pub struct EngineBatch<'a> {
 /// # Panics
 /// Panics on store I/O failures (these binaries fail fast) or invalid
 /// settings.
-pub fn run_batch_engine(batch: &EngineBatch<'_>, opts: &EngineOpts) -> dpaudit_core::DiBatchResult {
+pub fn run_batch_engine(
+    batch: &EngineBatch<'_>,
+    opts: &EngineOpts,
+) -> (AuditReport, dpaudit_core::DiBatchResult) {
     use dpaudit_runtime::{AuditSession, Parallelism, Seed, StoreHeader, SCHEMA_VERSION};
 
     let header = StoreHeader {
@@ -331,10 +335,8 @@ pub fn run_batch_engine(batch: &EngineBatch<'_>, opts: &EngineOpts) -> dpaudit_c
             Some(&mut records),
         )
         .expect("trial store append failed");
-    debug_assert_eq!(outcome.report.trials, batch.reps);
-    dpaudit_core::DiBatchResult {
-        trials: records.into_iter().map(|r| r.trial).collect(),
-    }
+    let trials = records.into_iter().map(|r| r.trial).collect();
+    (outcome.report, dpaudit_core::DiBatchResult { trials })
 }
 
 fn sanitize_label(label: &str) -> String {
@@ -449,7 +451,7 @@ pub fn run_audit_grid(
                 NeighborMode::Bounded,
                 dpaudit_core::ChallengeMode::RandomBit,
             );
-            let batch = run_batch_engine(
+            let (report, _) = run_batch_engine(
                 &EngineBatch {
                     workload,
                     pair: &pair,
@@ -464,34 +466,15 @@ pub fn run_audit_grid(
                 },
                 opts,
             );
-            let ls_floor = settings.dpsgd.ls_floor;
-            let eps_ls: f64 = batch
-                .trials
-                .iter()
-                .map(|t| {
-                    dpaudit_core::LocalSensitivityEstimator::per_trial(
-                        &t.sigmas,
-                        &t.local_sensitivities,
-                        row.delta,
-                        ls_floor,
-                    )
-                })
-                .sum::<f64>()
-                / batch.trials.len() as f64;
             cells.push(AuditCell {
                 rho_beta: rb,
                 target_epsilon: row.epsilon,
                 scaling: scaling.to_string(),
-                eps_from_ls: eps_ls,
-                eps_from_belief: dpaudit_core::MaxBeliefEstimator::from_max_belief(
-                    batch.max_score(),
-                ),
-                eps_from_advantage: dpaudit_core::AdvantageEstimator::from_advantage(
-                    batch.advantage(),
-                    row.delta,
-                ),
-                advantage: batch.advantage(),
-                max_belief: batch.max_score(),
+                eps_from_ls: report.eps_from_ls,
+                eps_from_belief: report.eps_from_belief,
+                eps_from_advantage: report.eps_from_advantage,
+                advantage: report.advantage,
+                max_belief: report.max_belief,
             });
         }
     }
@@ -621,7 +604,7 @@ mod tests {
             batch_threads: 1,
             store_dir: None,
         };
-        let engine = run_batch_engine(&batch, &opts);
+        let (_, engine) = run_batch_engine(&batch, &opts);
         let reference = dpaudit_core::run_di_trials(
             &pair,
             &settings,
@@ -670,9 +653,13 @@ mod tests {
             batch_threads: 1,
             store_dir: Some(dir.clone()),
         };
-        let first = run_batch_engine(&batch, &opts);
-        let replayed = run_batch_engine(&batch, &opts);
+        let (first_report, first) = run_batch_engine(&batch, &opts);
+        let (replayed_report, replayed) = run_batch_engine(&batch, &opts);
         assert_eq!(first.trials, replayed.trials);
+        assert_eq!(
+            serde_json::to_string(&first_report).unwrap(),
+            serde_json::to_string(&replayed_report).unwrap()
+        );
         let store = std::fs::read_to_string(dir.join("round_trip.jsonl")).unwrap();
         assert_eq!(
             store.lines().count(),

@@ -3,8 +3,7 @@
 
 use dpaudit_core::{
     epsilon_for_rho_alpha, epsilon_for_rho_beta, rho_alpha, rho_alpha_composed, rho_beta,
-    run_di_trials, AdvantageEstimator, AuditReport, ChallengeMode, LocalSensitivityEstimator,
-    MaxBeliefEstimator, TrialSettings,
+    ChallengeMode, LocalSensitivityEstimator, RecordDetail, TrialSettings,
 };
 use dpaudit_datasets::{
     dataset_sensitivity_unbounded, generate_mnist, generate_purchase, Hamming, NegSsim,
@@ -14,6 +13,7 @@ use dpaudit_dp::{
     GaussianMechanism, NeighborMode, RdpAccountant,
 };
 use dpaudit_dpsgd::{NeighborPair, SensitivityScaling, Transcript};
+use dpaudit_runtime::{AuditSession, Parallelism, Seed, StoreHeader, SCHEMA_VERSION};
 use std::fmt::Write as _;
 
 use crate::opts::Opts;
@@ -99,7 +99,7 @@ fn cmd_scores(opts: &Opts) -> Result<String, String> {
         }
         _ => return Err("give exactly one of --eps, --rho-beta, --rho-alpha".into()),
     };
-    let steps = opts.usize_or("steps", 30)?;
+    let steps = steps_opt(opts, 30)?;
     let z = calibrate_noise_multiplier_closed_form(eps, delta, steps);
     let mut out = String::new();
     let _ = writeln!(out, "epsilon            = {eps:.6}");
@@ -129,7 +129,7 @@ fn cmd_scores(opts: &Opts) -> Result<String, String> {
 fn cmd_calibrate(opts: &Opts) -> Result<String, String> {
     let eps = opts.f64_req("eps")?;
     let delta = opts.f64_req("delta")?;
-    let steps = opts.usize_or("steps", 30)?;
+    let steps = steps_opt(opts, 30)?;
     let sensitivity = opts.f64_opt("sensitivity")?.unwrap_or(1.0);
     if eps <= 0.0 || !(0.0..1.0).contains(&delta) || delta == 0.0 || sensitivity <= 0.0 {
         return Err("need --eps > 0, --delta in (0, 1), --sensitivity > 0".into());
@@ -170,11 +170,11 @@ fn cmd_calibrate(opts: &Opts) -> Result<String, String> {
 
 fn cmd_compose(opts: &Opts) -> Result<String, String> {
     let z = opts.f64_req("noise-multiplier")?;
-    let steps = opts.usize_or("steps", 1)?;
+    let steps = steps_opt(opts, 1)?;
     let delta = opts.f64_req("delta")?;
     let q = opts.f64_opt("sampling-rate")?;
-    if z <= 0.0 || steps == 0 || !(0.0..1.0).contains(&delta) || delta == 0.0 {
-        return Err("need --noise-multiplier > 0, --steps > 0, --delta in (0, 1)".into());
+    if z <= 0.0 || !(0.0..1.0).contains(&delta) || delta == 0.0 {
+        return Err("need --noise-multiplier > 0, --delta in (0, 1)".into());
     }
     let mut acc = RdpAccountant::new();
     match q {
@@ -241,7 +241,10 @@ fn cmd_audit(opts: &Opts) -> Result<String, String> {
 fn cmd_demo(opts: &Opts) -> Result<String, String> {
     let workload = opts.str_opt("workload").unwrap_or("purchase");
     let reps = opts.usize_or("reps", 10)?;
-    let steps = opts.usize_or("steps", 10)?;
+    if reps == 0 {
+        return Err("--reps must be positive".into());
+    }
+    let steps = steps_opt(opts, 10)?;
     let seed = opts.u64_or("seed", 42)?;
     let rho_beta_target = 0.90;
     let delta = 1e-2;
@@ -279,16 +282,42 @@ fn cmd_demo(opts: &Opts) -> Result<String, String> {
         .scaling(SensitivityScaling::Local)
         .challenge(ChallengeMode::RandomBit)
         .build()
-        .expect("valid trial settings");
-    let batch = run_di_trials(&pair, &settings, None, model_builder, reps, seed);
-    let report = AuditReport::from_batch_with_settings(&batch, eps, delta, &settings);
+        .map_err(|e| e.to_string())?;
+    // The header only drives this in-memory session; it is never written,
+    // so it need not name a world `audit resume` could rebuild.
+    let mut session = AuditSession::in_memory(StoreHeader {
+        schema_version: SCHEMA_VERSION,
+        label: format!("demo_{workload}"),
+        workload: workload.to_string(),
+        train_size: pair.d.len(),
+        world_seed: Seed(seed),
+        reps,
+        master_seed: Seed(seed),
+        target_epsilon: eps,
+        delta,
+        rho_beta_bound: rho_beta(eps),
+        detail: RecordDetail::Summary,
+        settings,
+    });
+    let report = session
+        .run(
+            &pair,
+            None,
+            model_builder,
+            Parallelism::trials(0),
+            |_| {},
+            None,
+        )
+        .map_err(|e| format!("demo run failed: {e}"))?
+        .report;
 
     if let Some(out_path) = opts.str_opt("out") {
         // Save one representative transcript for `dpaudit audit`.
+        let dpsgd = &session.header().settings.dpsgd;
         let mut model = model_builder(&mut dpaudit_math::seeded_rng(seed));
         let mut noise_rng = dpaudit_math::seeded_rng(seed + 1);
         let transcript =
-            dpaudit_dpsgd::train_collect(&mut model, &pair, true, &settings.dpsgd, &mut noise_rng);
+            dpaudit_dpsgd::train_collect(&mut model, &pair, true, dpsgd, &mut noise_rng);
         transcript
             .to_json_file(std::path::Path::new(out_path))
             .map_err(|e| format!("cannot write transcript: {e}"))?;
@@ -335,12 +364,16 @@ fn cmd_demo(opts: &Opts) -> Result<String, String> {
             "consistent with the claimed budget"
         }
     );
-    // Keep the unused estimator helpers referenced for doc discoverability.
-    let _ = (
-        MaxBeliefEstimator::from_max_belief(0.6),
-        AdvantageEstimator::from_advantage(0.1, delta),
-    );
     Ok(out)
+}
+
+/// `--steps` with a default; every command that takes it needs at least
+/// one step.
+fn steps_opt(opts: &Opts, default: usize) -> Result<usize, String> {
+    match opts.usize_or("steps", default)? {
+        0 => Err("--steps must be positive".into()),
+        steps => Ok(steps),
+    }
 }
 
 #[cfg(test)]
@@ -927,17 +960,110 @@ mod tests {
 
     #[test]
     fn validation_errors_are_friendly() {
-        assert!(run_line(&["scores", "--eps", "-1", "--delta", "1e-3"]).is_err());
-        assert!(run_line(&["scores", "--eps", "1", "--delta", "2"]).is_err());
-        assert!(run_line(&[
-            "compose",
-            "--noise-multiplier",
-            "1",
-            "--delta",
-            "1e-3",
-            "--sampling-rate",
-            "1.5"
+        // `demo` rejects before any trial runs; the guard keeps a stray
+        // event out of a metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
+        let eps_delta = ["--eps", "1", "--delta", "1e-3"];
+        let cases: [(&[&str], &str); 16] = [
+            (
+                &["scores", "--eps", "-1", "--delta", "1e-3"],
+                "--eps must be positive",
+            ),
+            (
+                &["scores", "--eps", "1", "--delta", "2"],
+                "--delta must be in (0, 1)",
+            ),
+            (
+                &[
+                    "compose",
+                    "--noise-multiplier",
+                    "1",
+                    "--delta",
+                    "1e-3",
+                    "--sampling-rate",
+                    "1.5",
+                ],
+                "--sampling-rate must be in (0, 1]",
+            ),
+            (&["scores", "--steps", "0"], "--steps must be positive"),
+            (
+                &["scores", "--eps", "inf", "--delta", "1e-3"],
+                "--eps must be finite",
+            ),
+            (
+                &["scores", "--eps", "nan", "--delta", "1e-3"],
+                "--eps must be finite",
+            ),
+            (&["calibrate", "--steps", "0"], "--steps must be positive"),
+            (
+                &["calibrate", "--steps", "0", "--classic"],
+                "--steps must be positive",
+            ),
+            (
+                &["calibrate", "--eps", "nan", "--delta", "1e-3"],
+                "--eps must be finite",
+            ),
+            (
+                &["calibrate", "--eps", "inf", "--delta", "1e-3"],
+                "--eps must be finite",
+            ),
+            (
+                &["calibrate", "--sensitivity", "nan"],
+                "--sensitivity must be finite",
+            ),
+            (
+                &["calibrate", "--sensitivity", "inf"],
+                "--sensitivity must be finite",
+            ),
+            (
+                &["compose", "--noise-multiplier", "inf", "--delta", "1e-3"],
+                "--noise-multiplier must be finite",
+            ),
+            (
+                &["compose", "--noise-multiplier", "nan", "--delta", "1e-3"],
+                "--noise-multiplier must be finite",
+            ),
+            (&["demo", "--reps", "0"], "--reps must be positive"),
+            (&["demo", "--steps", "0"], "--steps must be positive"),
+        ];
+        for (args, expected) in cases {
+            // `scores` and `calibrate` need a claim; append it unless the
+            // case sets its own.
+            let mut line = args.to_vec();
+            if matches!(args[0], "scores" | "calibrate") && !args.contains(&"--delta") {
+                line.extend(eps_delta);
+            }
+            let err = run_line(&line).expect_err(&line.join(" "));
+            assert!(err.contains(expected), "{}: {err}", line.join(" "));
+        }
+    }
+
+    #[test]
+    fn demo_prints_the_pinned_report() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
+        let out = run_line(&[
+            "demo",
+            "--workload",
+            "purchase",
+            "--reps",
+            "4",
+            "--steps",
+            "2",
         ])
-        .is_err());
+        .unwrap();
+        let expected = "\
+workload purchase: 4 challenge trials, 2 steps, target eps 2.197
+empirical advantage      = +0.5000
+max observed belief      = 0.7129
+eps' from sensitivities  = 2.2027
+eps' from max belief     = 0.9093
+eps' from advantage      = 4.1920
+empirical delta          = 0.0000
+budget utilisation       = 100.2%
+verdict: an estimator exceeds the claim — rerun with more reps to confirm
+";
+        assert_eq!(out, expected);
     }
 }

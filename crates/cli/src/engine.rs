@@ -56,7 +56,7 @@ pub(crate) fn header_from_opts(opts: &Opts) -> Result<StoreHeader, String> {
     let challenge = parse_challenge(opts.str_opt("challenge").unwrap_or("random"))?;
     let adversary = parse_adversary(opts.str_opt("adversary").unwrap_or("gaussian"))?;
     let sampling = match opts.f64_opt("sampling-q")? {
-        Some(q) if q.is_finite() && q > 0.0 && q < 1.0 => Sampling::Poisson { q },
+        Some(q) if q > 0.0 && q < 1.0 => Sampling::Poisson { q },
         Some(q) => return Err(format!("--sampling-q must be in (0, 1), got {q}")),
         None => Sampling::FullBatch,
     };

@@ -80,24 +80,26 @@ impl Opts {
     /// A required f64 option.
     ///
     /// # Errors
-    /// Missing or unparsable value.
+    /// Missing, unparsable or non-finite value.
     pub fn f64_req(&self, name: &str) -> Result<f64, String> {
-        self.values
-            .get(name)
-            .ok_or_else(|| format!("missing required --{name}"))?
-            .parse()
-            .map_err(|_| format!("--{name} must be a number"))
+        self.f64_opt(name)?
+            .ok_or_else(|| format!("missing required --{name}"))
     }
 
-    /// An optional f64 option.
+    /// An optional f64 option. No flag takes `inf` or `nan`, so both are
+    /// rejected here.
     ///
     /// # Errors
-    /// Unparsable value.
+    /// Unparsable or non-finite value.
     pub fn f64_opt(&self, name: &str) -> Result<Option<f64>, String> {
-        self.values
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("--{name} must be a number")))
-            .transpose()
+        let Some(v) = self.values.get(name) else {
+            return Ok(None);
+        };
+        match v.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Some(x)),
+            Ok(x) => Err(format!("--{name} must be finite, got {x}")),
+            Err(_) => Err(format!("--{name} must be a number")),
+        }
     }
 
     /// An optional usize option with a default.
@@ -227,6 +229,11 @@ mod tests {
     fn numeric_validation() {
         let o = parse(&["x", "--eps", "abc"]).unwrap();
         assert!(o.f64_req("eps").is_err());
+        for bad in ["inf", "-inf", "nan", "NaN", "infinity"] {
+            let o = parse(&["x", "--eps", bad]).unwrap();
+            assert!(o.f64_req("eps").unwrap_err().contains("finite"), "{bad}");
+            assert!(o.f64_opt("eps").unwrap_err().contains("finite"), "{bad}");
+        }
         let o = parse(&["x", "--steps", "3.5"]).unwrap();
         assert!(o.usize_or("steps", 1).is_err());
         let o = parse(&["x"]).unwrap();

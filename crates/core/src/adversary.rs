@@ -56,17 +56,6 @@ pub trait DiAdversaryStrategy {
     /// Observe one DPSGD step record.
     fn observe(&mut self, record: &StepRecord, trained_on_d: bool);
 
-    /// Observe a step given explicitly computed hypothesis centers (for
-    /// callers that recompute the gradient sums themselves, e.g. the
-    /// federated harness).
-    fn observe_centers(
-        &mut self,
-        noisy: &[f64],
-        center_d: &[f64],
-        center_d_prime: &[f64],
-        sigma: f64,
-    );
-
     /// Observe the final trained model. Default: no-op — trajectory
     /// adversaries have already seen everything they use.
     fn observe_final(&mut self, _model: &Sequential, _pair: &NeighborPair) {}
@@ -125,17 +114,6 @@ impl DiAdversaryStrategy for GaussianBelief {
         let (center_d, center_dp) = record.hypothesis_centers(trained_on_d, self.mode);
         self.tracker
             .update_gaussian(&record.noisy_sum, &center_d, &center_dp, record.sigma);
-    }
-
-    fn observe_centers(
-        &mut self,
-        noisy: &[f64],
-        center_d: &[f64],
-        center_d_prime: &[f64],
-        sigma: f64,
-    ) {
-        self.tracker
-            .update_gaussian(noisy, center_d, center_d_prime, sigma);
     }
 
     fn score_d(&self) -> f64 {
@@ -236,16 +214,6 @@ impl DiAdversaryStrategy for Glrt {
         self.update(&record.noisy_sum, &center_d, &center_dp, record.sigma);
     }
 
-    fn observe_centers(
-        &mut self,
-        noisy: &[f64],
-        center_d: &[f64],
-        center_d_prime: &[f64],
-        sigma: f64,
-    ) {
-        self.update(noisy, center_d, center_d_prime, sigma);
-    }
-
     fn score_d(&self) -> f64 {
         self.current_score()
     }
@@ -288,8 +256,6 @@ impl ThresholdMi {
 impl DiAdversaryStrategy for ThresholdMi {
     /// Trajectory releases are outside this adversary's access assumption.
     fn observe(&mut self, _record: &StepRecord, _trained_on_d: bool) {}
-
-    fn observe_centers(&mut self, _noisy: &[f64], _cd: &[f64], _cdp: &[f64], _sigma: f64) {}
 
     fn observe_final(&mut self, model: &Sequential, pair: &NeighborPair) {
         let (x1, y1) = pair.x1();
@@ -445,17 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_centers_equivalent_to_observe() {
-        let r = record(vec![1.7, 2.3], vec![2.0, 2.0], vec![1.0, 1.0], 1.5);
-        let mut a = GaussianBelief::new(NeighborMode::Unbounded);
-        a.observe(&r, true);
-        let mut b = GaussianBelief::new(NeighborMode::Unbounded);
-        let (cd, cdp) = r.hypothesis_centers(true, NeighborMode::Unbounded);
-        b.observe_centers(&r.noisy_sum, &cd, &cdp, r.sigma);
-        assert_eq!(a.score_d(), b.score_d());
-    }
-
-    #[test]
     fn gaussian_via_trait_is_bit_identical_to_the_tracker() {
         // Randomised releases through the trait object vs the bare
         // BeliefTracker: every score in the history must match to the bit —
@@ -529,9 +484,9 @@ mod tests {
         let glrt = Glrt::new(NeighborMode::Unbounded);
         assert_eq!(glrt.score_d(), 0.5);
         assert!(!glrt.decide_d());
-        // Identical centers: d² = 0, score stays at the prior.
+        // Identical centers (g1 = 0): d² = 0, score stays at the prior.
         let mut g = Glrt::new(NeighborMode::Unbounded);
-        g.observe_centers(&[1.0], &[2.0], &[2.0], 1.0);
+        g.observe(&record(vec![1.0], vec![2.0], vec![0.0], 1.0), true);
         assert_eq!(g.score_d(), 0.5);
     }
 
@@ -540,7 +495,7 @@ mod tests {
         let mut adv = ThresholdMi::new();
         let r = record(vec![2.0, 2.0], vec![2.0, 2.0], vec![1.0, 1.0], 1.0);
         adv.observe(&r, true);
-        adv.observe_centers(&[1.0], &[0.0], &[2.0], 1.0);
+        adv.observe(&record(vec![1.0], vec![0.0], vec![-2.0], 1.0), true);
         assert_eq!(adv.score_d(), 0.5);
         assert!(adv.history().is_empty());
         assert!(!adv.decide_d());

@@ -112,22 +112,6 @@ impl std::fmt::Display for SettingsError {
 
 impl std::error::Error for SettingsError {}
 
-/// Validate a δ for an (ε, δ) claim: must lie strictly inside `(0, 1)`.
-/// Shared by [`TrialSettingsBuilder`] consumers (CLI, bench args) so every
-/// entry point rejects a nonsensical δ the same way.
-///
-/// # Errors
-/// A [`SettingsError`] naming the offending value.
-pub fn validate_delta(delta: f64) -> Result<f64, SettingsError> {
-    if delta.is_finite() && delta > 0.0 && delta < 1.0 {
-        Ok(delta)
-    } else {
-        Err(SettingsError::new(format!(
-            "delta must be in (0, 1), got {delta}"
-        )))
-    }
-}
-
 /// Builder for [`TrialSettings`]; see [`TrialSettings::builder`].
 #[derive(Debug, Clone)]
 pub struct TrialSettingsBuilder {
@@ -790,14 +774,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(s.dpsgd.ls_floor, 0.5);
-    }
-
-    #[test]
-    fn delta_validation_accepts_only_the_open_interval() {
-        assert_eq!(validate_delta(1e-3).unwrap(), 1e-3);
-        for bad in [0.0, 1.0, -0.5, f64::NAN, f64::INFINITY] {
-            assert!(validate_delta(bad).is_err(), "delta {bad} should fail");
-        }
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   producing empirical advantages, belief distributions and empirical δ.
 //! * [`audit`] — the ε′ estimators of §6.4 (from per-step local
 //!   sensitivities via RDP, from the maximum observed belief, from the
-//!   empirical advantage) behind the pluggable [`EpsEstimator`] trait,
-//!   plus a confidence-interval-aware binomial estimator.
+//!   empirical advantage) and the [`AuditReport`] that carries all three,
+//!   built only by [`AuditReport::from_inputs`] from a batch summary.
 
 pub mod adversary;
 pub mod audit;
@@ -38,13 +38,12 @@ pub mod scores;
 
 pub use adversary::{AdversaryKind, DiAdversaryStrategy, GaussianBelief, Glrt, ThresholdMi};
 pub use audit::{
-    run_estimators, standard_estimators, AdvantageEstimator, AuditReport, BinomialCiEstimator,
-    EpsEstimate, EpsEstimator, EstimatorInputs, LocalSensitivityEstimator, MaxBeliefEstimator,
+    AdvantageEstimator, AuditReport, EstimatorInputs, LocalSensitivityEstimator, MaxBeliefEstimator,
 };
 pub use belief::BeliefTracker;
 pub use experiment::{
-    run_di_trial, run_di_trials, trial_seed, validate_delta, ChallengeMode, DiBatchResult,
-    DiTrialResult, RecordDetail, Sampling, SettingsError, TrialSettings, TrialSettingsBuilder,
+    run_di_trial, run_di_trials, trial_seed, ChallengeMode, DiBatchResult, DiTrialResult,
+    RecordDetail, Sampling, SettingsError, TrialSettings, TrialSettingsBuilder,
 };
 pub use mi::{run_mi_trials, MiAdversary, MiBatchResult};
 pub use scalar::{run_scalar_di_trials, ScalarMechanism, ScalarQuery};

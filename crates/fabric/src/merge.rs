@@ -14,7 +14,8 @@
 //!    order, record order within a shard, and duplicate placement are all
 //!    erased; the output is the unique index-sorted record sequence.
 //! 3. [`StreamingAggregates`] consumes records strictly in index order
-//!    (the same order `AuditReport::from_batch` folds in), so every f64
+//!    (the order a single-node session folds in) and builds the report in
+//!    [`StreamingAggregates::finish`], as every session does, so every f64
 //!    accumulation happens in the identical sequence — and IEEE-754
 //!    addition is deterministic for a fixed sequence.
 //!

@@ -1,12 +1,14 @@
 //! Streaming aggregation of trial outcomes.
 //!
 //! [`StreamingAggregates`] folds trials as they complete — in O(1) memory
-//! per trial, no batch materialisation — and produces exactly the same
-//! [`AuditReport`] as `AuditReport::from_batch` over the full batch would.
+//! per trial, no batch materialisation — and [`StreamingAggregates::finish`]
+//! builds the batch's [`AuditReport`]. It is the only place a report is
+//! built: audit runs, store replays, fabric merges and the reproduction
+//! binaries all finish here.
 //!
-//! Bit-identity with the batch path (and across worker counts) requires the
-//! one order-sensitive fold, the ε′-from-LS *sum*, to run in trial-index
-//! order: floating-point addition is not associative. Workers finish out of
+//! Bit-identity across worker counts, resumes and merges requires the one
+//! order-sensitive fold, the ε′-from-LS *sum*, to run in trial-index order:
+//! floating-point addition is not associative. Workers finish out of
 //! order, so arrivals pass through a small reorder buffer and fold only
 //! when contiguous from index 0. The buffer holds at most
 //! (workers − 1) stragglers in practice.
@@ -123,9 +125,9 @@ impl StreamingAggregates {
         self.next == self.reps
     }
 
-    /// Produce the final report, identical to
-    /// `AuditReport::from_batch(&batch, target_epsilon, delta, ls_floor)`
-    /// over the same trials.
+    /// Produce the final report through [`AuditReport::from_inputs`]. The
+    /// ε′-from-LS mean is the trial-index-order sum of the per-trial values
+    /// divided by `reps`, so it is the same at any arrival order.
     ///
     /// # Panics
     /// Panics when the batch is incomplete (missing indices).
@@ -142,35 +144,10 @@ impl StreamingAggregates {
             trials: self.reps,
             successes: self.correct,
             max_belief: self.max_belief,
-            // Folded in trial-index order above, so the mean is bit-identical
-            // to `EstimatorInputs::from_batch` over the same trials.
             mean_eps_ls: self.eps_ls_sum / n,
             delta: self.delta,
         };
         AuditReport::from_inputs(&inputs, self.target_epsilon, self.exceeded as f64 / n)
-    }
-
-    /// The batch summary the estimators consume, for callers that want to
-    /// run non-standard estimators (e.g. `BinomialCiEstimator`) over a
-    /// finished stream.
-    ///
-    /// # Panics
-    /// Panics when the batch is incomplete.
-    pub fn inputs(&self) -> EstimatorInputs {
-        assert!(
-            self.is_complete(),
-            "StreamingAggregates: only {}/{} trials folded (missing index {})",
-            self.next,
-            self.reps,
-            self.next
-        );
-        EstimatorInputs {
-            trials: self.reps,
-            successes: self.correct,
-            max_belief: self.max_belief,
-            mean_eps_ls: self.eps_ls_sum / self.reps as f64,
-            delta: self.delta,
-        }
     }
 }
 

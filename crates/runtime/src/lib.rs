@@ -22,9 +22,9 @@
 //! * [`session`] — ties the two together with crash-safe resume: replay
 //!   the store, run only the missing trial indices, and aggregate.
 //! * [`aggregate`] — streaming O(1)-memory folds (success rate, advantage,
-//!   max belief, empirical δ, mean ε′-from-LS) that reproduce
-//!   `AuditReport::from_batch` bit-for-bit via an index-order reorder
-//!   buffer.
+//!   max belief, empirical δ, mean ε′-from-LS) behind an index-order
+//!   reorder buffer; [`StreamingAggregates::finish`] builds every
+//!   `AuditReport` this workspace prints or stores.
 //! * [`progress`] — trials/sec and ETA callbacks.
 //! * [`report`] — replay a store offline and render reports.
 

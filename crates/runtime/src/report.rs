@@ -2,7 +2,7 @@
 //! anything, and render results for terminals.
 
 use crate::aggregate::{StreamingAggregates, TrialOutcome};
-use crate::store::{read_store, StoreHeader};
+use crate::store::{missing_indices, read_store, StoreContents, StoreHeader};
 use dpaudit_core::AuditReport;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -26,22 +26,21 @@ pub struct StoreReport {
 /// # Errors
 /// I/O errors, corrupt stores, or schema-version mismatches.
 pub fn replay_store(path: &Path) -> std::io::Result<StoreReport> {
-    let contents = read_store(path)?;
-    let header = contents.header.clone();
+    let StoreContents {
+        header, records, ..
+    } = read_store(path)?;
     let mut aggregates = StreamingAggregates::new(
         header.reps,
         header.target_epsilon,
         header.delta,
         header.rho_beta_bound,
     );
-    let mut seen = vec![false; header.reps];
-    for record in &contents.records {
-        if record.idx < header.reps && !seen[record.idx] {
-            seen[record.idx] = true;
-            aggregates.push(record.idx, TrialOutcome::from(record));
-        }
+    // The aggregator keeps the first record of a duplicated index.
+    for record in records.iter().filter(|r| r.idx < header.reps) {
+        aggregates.push(record.idx, TrialOutcome::from(record));
     }
-    let missing = contents.missing_indices();
+    let missing = missing_indices(header.reps, &records);
+    let completed = header.reps - missing.len();
     let report = if aggregates.is_complete() {
         Some(aggregates.finish())
     } else {
@@ -49,7 +48,7 @@ pub fn replay_store(path: &Path) -> std::io::Result<StoreReport> {
     };
     Ok(StoreReport {
         header,
-        completed: seen.iter().filter(|&&s| s).count(),
+        completed,
         missing,
         report,
     })

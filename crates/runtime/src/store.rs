@@ -176,19 +176,17 @@ pub struct StoreContents {
     pub keep_bytes: u64,
 }
 
-impl StoreContents {
-    /// The trial indices in `0..header.reps` that have no record yet —
-    /// exactly the work a resume must run. Sorted ascending; duplicates in
-    /// the store are harmless (later records simply confirm earlier ones).
-    pub fn missing_indices(&self) -> Vec<usize> {
-        let mut have = vec![false; self.header.reps];
-        for record in &self.records {
-            if record.idx < self.header.reps {
-                have[record.idx] = true;
-            }
+/// The trial indices in `0..reps` that have no record in `records` —
+/// exactly the work a resume must run. Sorted ascending; duplicates in
+/// the store are harmless (later records simply confirm earlier ones).
+pub fn missing_indices(reps: usize, records: &[TrialRecord]) -> Vec<usize> {
+    let mut have = vec![false; reps];
+    for record in records {
+        if record.idx < reps {
+            have[record.idx] = true;
         }
-        (0..self.header.reps).filter(|&i| !have[i]).collect()
     }
+    (0..reps).filter(|&i| !have[i]).collect()
 }
 
 /// Read and validate a trial store.
@@ -332,7 +330,10 @@ mod tests {
         let contents = read_store(&path).unwrap();
         assert_eq!(contents.header, h);
         assert_eq!(contents.records, vec![record(2), record(0)]);
-        assert_eq!(contents.missing_indices(), vec![1]);
+        assert_eq!(
+            missing_indices(contents.header.reps, &contents.records),
+            vec![1]
+        );
         assert_eq!(contents.keep_bytes, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).unwrap();
     }
@@ -356,18 +357,21 @@ mod tests {
 
         let contents = read_store(&path).unwrap();
         assert_eq!(contents.records, vec![record(0)]);
-        assert_eq!(contents.missing_indices(), vec![1, 2, 3]);
+        assert_eq!(
+            missing_indices(contents.header.reps, &contents.records),
+            vec![1, 2, 3]
+        );
         assert!(contents.keep_bytes < len - 10);
 
         // Re-open for append, cutting the partial line, and finish the batch.
         let mut store = TrialStore::open_append(&path, contents.keep_bytes).unwrap();
-        for idx in contents.missing_indices() {
+        for idx in missing_indices(contents.header.reps, &contents.records) {
             store.append(&record(idx)).unwrap();
         }
         drop(store);
         let contents = read_store(&path).unwrap();
         assert_eq!(contents.records.len(), 4);
-        assert!(contents.missing_indices().is_empty());
+        assert!(missing_indices(contents.header.reps, &contents.records).is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Property tests: the streaming aggregators agree with the in-memory
-//! `DiBatchResult` / `AuditReport::from_batch` path on arbitrary outcomes
-//! and arbitrary arrival orders.
+//! `DiBatchResult` folds and a serial ε′ sum on arbitrary outcomes and
+//! arbitrary arrival orders.
 
 use dpaudit_core::experiment::{DiBatchResult, DiTrialResult};
 use dpaudit_runtime::{StreamingAggregates, TrialOutcome};

@@ -49,9 +49,9 @@ pub mod prelude {
         advantage_from_success_rate, epsilon_for_rho_alpha, epsilon_for_rho_beta, rho_alpha,
         rho_alpha_composed, rho_beta, run_di_trial, run_di_trials, run_scalar_di_trials,
         AdvantageEstimator, AdversaryKind, AuditReport, BeliefTracker, ChallengeMode,
-        DiAdversaryStrategy, DiBatchResult, EpsEstimate, EpsEstimator, EstimatorInputs,
-        GaussianBelief, Glrt, LocalSensitivityEstimator, MaxBeliefEstimator, MiAdversary, Sampling,
-        ScalarMechanism, ScalarQuery, ThresholdMi, TrialSettings,
+        DiAdversaryStrategy, DiBatchResult, EstimatorInputs, GaussianBelief, Glrt,
+        LocalSensitivityEstimator, MaxBeliefEstimator, MiAdversary, Sampling, ScalarMechanism,
+        ScalarQuery, ThresholdMi, TrialSettings,
     };
     pub use dpaudit_datasets::{
         bounded_candidates, dataset_sensitivity_bounded, dataset_sensitivity_unbounded,

@@ -204,7 +204,30 @@ fn audit_report_round_trips_through_json() {
         .build()
         .expect("valid trial settings");
     let batch = run_di_trials(&pair, &settings, None, purchase_mlp, 4, 9);
-    let report = AuditReport::from_batch(&batch, 2.2, 1e-2, settings.dpsgd.ls_floor);
+    // Summarise the batch the way the runtime's streaming aggregator does:
+    // per-trial ε′-from-LS summed in trial order.
+    let delta = 1e-2;
+    let mean_eps_ls = batch
+        .trials
+        .iter()
+        .map(|t| {
+            LocalSensitivityEstimator::per_trial(
+                &t.sigmas,
+                &t.local_sensitivities,
+                delta,
+                settings.dpsgd.ls_floor,
+            )
+        })
+        .sum::<f64>()
+        / 4.0;
+    let inputs = EstimatorInputs {
+        trials: 4,
+        successes: batch.trials.iter().filter(|t| t.correct).count(),
+        max_belief: batch.max_score(),
+        mean_eps_ls,
+        delta,
+    };
+    let report = AuditReport::from_inputs(&inputs, 2.2, batch.empirical_delta(rho_beta(2.2)));
     if report.eps_from_advantage.is_finite() {
         let json = serde_json::to_string(&report).unwrap();
         let back: AuditReport = serde_json::from_str(&json).unwrap();
