@@ -670,6 +670,55 @@ mod tests {
     }
 
     #[test]
+    fn engine_store_replays_a_repeated_line_once() {
+        let world = purchase_world(7, 8, 10, 0);
+        let pair = Workload::Purchase.max_pair(&world, NeighborMode::Bounded);
+        let row = param_row(0.9, PURCHASE_DELTA);
+        let settings = arm_settings(
+            &row,
+            2,
+            dpaudit_dpsgd::SensitivityScaling::Local,
+            NeighborMode::Bounded,
+            dpaudit_core::ChallengeMode::RandomBit,
+        );
+        let reps = 3;
+        let batch = EngineBatch {
+            workload: Workload::Purchase,
+            pair: &pair,
+            settings: &settings,
+            test_set: None,
+            reps,
+            master_seed: 29,
+            world_seed: 7,
+            train_size: 8,
+            row,
+            label: "repeated".into(),
+        };
+        let dir =
+            std::env::temp_dir().join(format!("dpaudit-bench-repeated-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = EngineOpts {
+            threads: 1,
+            batch_threads: 1,
+            store_dir: Some(dir.clone()),
+        };
+        let (first_report, first) = run_batch_engine(&batch, &opts);
+        // Repeat one record line, as a re-appended trial would.
+        let path = dir.join("repeated.jsonl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let repeated = text.lines().nth(1).unwrap();
+        std::fs::write(&path, format!("{text}{repeated}\n")).unwrap();
+        let (replayed_report, replayed) = run_batch_engine(&batch, &opts);
+        assert_eq!(replayed.trials.len(), reps);
+        assert_eq!(first.trials, replayed.trials);
+        assert_eq!(
+            serde_json::to_string(&first_report).unwrap(),
+            serde_json::to_string(&replayed_report).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn max_pair_unbounded_removes_one() {
         let w = Workload::Purchase.world(4, 20);
         let pair = Workload::Purchase.max_pair(&w, NeighborMode::Unbounded);

@@ -927,6 +927,106 @@ mod tests {
         std::fs::remove_file(&store).unwrap();
     }
 
+    /// A finished 3-trial purchase store written by `audit run` under
+    /// `name`: its path and its text.
+    fn small_store(name: &str) -> (std::path::PathBuf, String) {
+        let dir = std::env::temp_dir().join("dpaudit-cli-store-reading");
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join(name);
+        let _ = std::fs::remove_file(&store);
+        run_line(&[
+            "audit",
+            "run",
+            "--workload",
+            "purchase",
+            "--reps",
+            "3",
+            "--steps",
+            "2",
+            "--train-size",
+            "20",
+            "--threads",
+            "1",
+            "--out",
+            store.to_str().unwrap(),
+        ])
+        .unwrap();
+        let text = std::fs::read_to_string(&store).unwrap();
+        (store, text)
+    }
+
+    #[test]
+    fn resume_and_report_refuse_an_out_of_range_trial_index() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
+        let (store, text) = small_store("range.jsonl");
+        let store_s = store.to_str().unwrap();
+        // A copy of one record, renumbered past the batch.
+        let (_, rest) = text.lines().nth(1).unwrap().split_once(',').unwrap();
+        std::fs::write(&store, format!("{text}{{\"idx\":7,{rest}\n")).unwrap();
+        for action in ["resume", "report"] {
+            let err = run_line(&["audit", action, "--store", store_s]).unwrap_err();
+            assert!(err.contains("trial index 7 out of range 0..3"), "{err}");
+        }
+        std::fs::remove_file(&store).unwrap();
+    }
+
+    #[test]
+    fn report_resume_and_watch_refuse_a_determinism_conflict() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
+        let (store, text) = small_store("conflict.jsonl");
+        let store_s = store.to_str().unwrap();
+        // A copy of trial 0 with another eps_ls, placed before the original.
+        let lines: Vec<&str> = text.lines().collect();
+        let trial0 = lines[1];
+        assert!(trial0.starts_with("{\"idx\":0,"), "{trial0}");
+        let start = trial0.find("\"eps_ls\":").unwrap();
+        let end = start + trial0[start..].find(',').unwrap();
+        let edited = format!("{}\"eps_ls\":0.1{}", &trial0[..start], &trial0[end..]);
+        let mut conflicting = vec![lines[0], &edited];
+        conflicting.extend(&lines[1..]);
+        std::fs::write(&store, conflicting.join("\n") + "\n").unwrap();
+        for line in [
+            &["audit", "report", "--store", store_s][..],
+            &["audit", "resume", "--store", store_s],
+            &["watch", "--store", store_s, "--max-ticks", "1"],
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(
+                err.contains("determinism conflict: trial 0 appears with different bytes"),
+                "{}: {err}",
+                line.join(" ")
+            );
+        }
+        std::fs::remove_file(&store).unwrap();
+    }
+
+    #[test]
+    fn resume_replays_a_repeated_line_once() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
+        let (store, text) = small_store("repeated.jsonl");
+        let store_s = store.to_str().unwrap();
+        let report = run_line(&["audit", "report", "--store", store_s]).unwrap();
+        let repeated = text.lines().nth(2).unwrap();
+        std::fs::write(&store, format!("{text}{repeated}\n")).unwrap();
+        let resumed = run_line(&["audit", "resume", "--store", store_s]).unwrap();
+        assert!(
+            resumed.starts_with("3 trials (0 executed, 3 replayed from store)\n"),
+            "{resumed}"
+        );
+        assert!(resumed.ends_with(&report), "{resumed}");
+        assert_eq!(
+            run_line(&["audit", "report", "--store", store_s]).unwrap(),
+            report
+        );
+        std::fs::remove_file(&store).unwrap();
+    }
+
     #[test]
     fn audit_subaction_validation() {
         assert!(run_line(&["audit", "frobnicate"])

@@ -18,8 +18,8 @@ use crate::opts::Opts;
 use dpaudit_fabric as fabric;
 use dpaudit_obs::{self as obs, JsonlSink, MetricsRegistry, MultiSink, Sink};
 use dpaudit_runtime::{
-    render_partial, render_report, run_from_source, ExecPlan, Parallelism, SourceRunStats,
-    StoreHeader, TrialSink, TrialSource,
+    check_runnable, render_partial, render_report, replay_store, run_from_source, ExecPlan,
+    Parallelism, SourceRunStats, StoreHeader, TrialSink, TrialSource,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -75,9 +75,15 @@ fn cmd_serve(opts: &Opts) -> Result<String, String> {
             obs::render_prometheus(&render_registry.snapshot(), &render_registry.span_stats())
         }),
     );
-    coordinator
+    let reps = header.reps;
+    let resumed = coordinator
         .submit_job(&job, header)
         .map_err(|e| format!("cannot enqueue job: {e}"))?;
+    if resumed > 0 {
+        eprintln!(
+            "fabric serve: resuming job `{job}` from its store: {resumed}/{reps} trials present"
+        );
+    }
     let server = fabric::serve(coordinator.clone(), addr)
         .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     eprintln!(
@@ -112,8 +118,8 @@ fn cmd_serve(opts: &Opts) -> Result<String, String> {
     );
     for id in coordinator.job_ids() {
         let path = coordinator.store_path(&id).expect("job has a store");
-        let replayed = fabric::replay_job_store(&path)
-            .map_err(|e| format!("cannot replay job `{id}` store: {e}"))?;
+        let replayed =
+            replay_store(&path).map_err(|e| format!("cannot replay job `{id}` store: {e}"))?;
         let _ = writeln!(out, "job `{id}` (store {}):", path.display());
         match replayed.report {
             Some(report) => out.push_str(&render_report(&replayed.header, &report)),
@@ -141,6 +147,13 @@ impl fabric::JobRunner for EngineRunner {
         source: &mut dyn TrialSource,
         sink: &mut dyn TrialSink,
     ) -> std::io::Result<SourceRunStats> {
+        // A worker must execute the job's recorded backend, not whatever it
+        // has: shards from a different accumulation order would poison the
+        // coordinator's deterministic merge. Refuse a removed backend up
+        // front with a typed error.
+        check_runnable(header).map_err(|e| {
+            std::io::Error::new(e.kind(), format!("cannot execute job `{job}`: {e}"))
+        })?;
         let (workload, pair) = rebuild_workload(header).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -148,16 +161,6 @@ impl fabric::JobRunner for EngineRunner {
             )
         })?;
         let plan = ExecPlan::for_header(header, self.parallelism);
-        // A worker must execute the job's recorded backend, not whatever it
-        // has: shards from a different accumulation order would poison the
-        // coordinator's deterministic merge. Refuse a removed backend up
-        // front with a typed error.
-        header.settings.dpsgd.backend.resolve().map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("cannot execute job `{job}`: {e}"),
-            )
-        })?;
         // The protocol choices ride in the job header's settings; surface
         // them so a worker's log shows which precision, adversary and
         // sampling scheme its shards were produced under.
@@ -452,7 +455,7 @@ fn cmd_merge(opts: &Opts) -> Result<String, String> {
             .write_store(Path::new(out_path))
             .map_err(|e| format!("cannot write merged store: {e}"))?;
         eprintln!(
-            "merged {} records ({} cross-shard duplicates dropped) into {out_path}",
+            "merged {} records ({} duplicate lines dropped) into {out_path}",
             merged.records.len(),
             merged.duplicates
         );

@@ -260,7 +260,8 @@ pub const COMMANDS: &[CommandSpec] = &[
             req(
                 "store-dir",
                 "DIR",
-                "directory for per-job coordinator trial stores",
+                "directory for per-job coordinator trial stores (an existing \
+                 store for the same flags is resumed)",
             ),
             req("workload", "NAME", "workload to audit (mnist | purchase)"),
             opt("job", "ID", "job id [the store label]"),

@@ -12,8 +12,7 @@ use crate::opts::Opts;
 use dpaudit_core::MaxBeliefEstimator;
 use dpaudit_dpsgd::ComputeMode;
 use dpaudit_obs::{names, read_events, MetricsRegistry};
-use dpaudit_runtime::{read_store, Progress, ProgressMeter, StoreHeader};
-use std::collections::BTreeMap;
+use dpaudit_runtime::{read_store, Progress, ProgressMeter, StoreHeader, TrialRecord};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
@@ -22,18 +21,13 @@ const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█
 /// Sparklines and histograms are clipped to this many cells.
 const WIDTH: usize = 40;
 
-/// One deduplicated trial observation.
-struct TrialView {
-    eps_ls: f64,
-    belief: f64,
-}
-
 /// Everything one dashboard frame renders, separated from I/O so the
 /// rendering is a pure, unit-testable function.
 struct WatchState {
     header: StoreHeader,
-    /// Observed trials by index (first record per index wins).
-    trials: BTreeMap<usize, TrialView>,
+    /// The stored trials, one per index, ascending (the store's reading
+    /// rule).
+    trials: Vec<TrialRecord>,
     progress: Progress,
     /// Threshold for the ALERT line (defaults to the store's target ε).
     alert_eps: f64,
@@ -48,11 +42,11 @@ impl WatchState {
     fn eps_series(&self) -> Vec<f64> {
         let mut best = f64::NEG_INFINITY;
         let mut series = Vec::with_capacity(self.trials.len());
-        for view in self.trials.values() {
-            if view.eps_ls.is_finite() {
-                best = best.max(view.eps_ls);
+        for record in &self.trials {
+            if record.eps_ls.is_finite() {
+                best = best.max(record.eps_ls);
             }
-            let from_belief = MaxBeliefEstimator::from_max_belief(view.belief);
+            let from_belief = MaxBeliefEstimator::from_max_belief(record.trial.belief_trained);
             if from_belief.is_finite() {
                 best = best.max(from_belief);
             }
@@ -110,16 +104,7 @@ pub fn run(opts: &Opts) -> Result<String, String> {
                 continue;
             }
         };
-        let header = contents.header;
-        let mut trials: BTreeMap<usize, TrialView> = BTreeMap::new();
-        for record in &contents.records {
-            if record.idx < header.reps {
-                trials.entry(record.idx).or_insert(TrialView {
-                    eps_ls: record.eps_ls,
-                    belief: record.trial.belief_trained,
-                });
-            }
-        }
+        let (header, trials) = (contents.header, contents.records);
         let meter = meter.get_or_insert_with(|| {
             baseline = trials.len();
             ProgressMeter::new(header.reps.saturating_sub(trials.len()), trials.len())
@@ -191,7 +176,11 @@ fn render_dashboard(state: &WatchState) -> String {
         }
     }
 
-    let beliefs: Vec<f64> = state.trials.values().map(|t| t.belief).collect();
+    let beliefs: Vec<f64> = state
+        .trials
+        .iter()
+        .map(|t| t.trial.belief_trained)
+        .collect();
     if let Some(max_belief) = beliefs.iter().copied().reduce(f64::max) {
         // Non-Bayesian adversaries (GLRT, threshold-MI) stream a [0, 1)
         // decision score, not a posterior belief — label it honestly.
@@ -320,14 +309,21 @@ mod tests {
         let trials = eps_values
             .iter()
             .enumerate()
-            .map(|(idx, &eps)| {
-                (
-                    idx,
-                    TrialView {
-                        eps_ls: eps,
-                        belief,
-                    },
-                )
+            .map(|(idx, &eps)| TrialRecord {
+                idx,
+                seed: Seed(idx as u64),
+                eps_ls: eps,
+                trial: dpaudit_core::DiTrialResult {
+                    b: true,
+                    guess: true,
+                    correct: true,
+                    belief_d: belief,
+                    belief_trained: belief,
+                    belief_history: vec![],
+                    local_sensitivities: vec![],
+                    sigmas: vec![],
+                    test_accuracy: None,
+                },
             })
             .collect();
         WatchState {

@@ -29,6 +29,10 @@
 //! Because completion is keyed by trial index and every trial is a pure
 //! function of `trial_seed(master_seed, idx)`, double execution after a
 //! reclaim is wasted work but never wrong data.
+//!
+//! A restarted coordinator continues its job stores: stored trials start
+//! out completed, with the hashes ingest computes, and only the missing
+//! indices are pending (see [`Coordinator::submit_job`]).
 
 use crate::protocol::{
     valid_job_id, FleetReport, FleetWorker, JobDescriptor, JobStatus, LeaseReply, LeaseRequest,
@@ -38,10 +42,10 @@ use dpaudit_obs::{
     self as obs, render_health, render_prometheus_fleet, MetricsServer, MetricsSnapshot, Request,
     Response, ServerConfig,
 };
-use dpaudit_runtime::{StoreHeader, TrialRecord, TrialStore};
+use dpaudit_runtime::{check_runnable, StoreHeader, TrialRecord, TrialStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::ToSocketAddrs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -160,14 +164,17 @@ impl Coordinator {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueue a job: validate the id, create its trial store (header
-    /// line included) under the store directory, and expose its full
-    /// trial range as pending.
+    /// Enqueue a job: validate the id and header, open its trial store
+    /// under the store directory (`TrialStore::open`: created, or continued
+    /// after a restart), and expose the indices it lacks as pending.
+    /// Returns how many trials the store already held.
     ///
     /// # Errors
-    /// `InvalidInput` for a bad id or zero reps, `AlreadyExists` for a
-    /// duplicate id, I/O errors from store creation.
-    pub fn submit_job(&self, job: &str, header: StoreHeader) -> std::io::Result<()> {
+    /// `InvalidInput` for a bad id, zero reps or a header no worker can run
+    /// (before any file is created), `AlreadyExists` for a duplicate id,
+    /// `InvalidData` (file untouched) for a store of another header or one
+    /// the reading rule refuses, I/O errors from the store.
+    pub fn submit_job(&self, job: &str, header: StoreHeader) -> std::io::Result<usize> {
         if !valid_job_id(job) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -180,6 +187,7 @@ impl Coordinator {
                 "job has zero reps",
             ));
         }
+        check_runnable(&header)?;
         let mut state = self.lock();
         if state.jobs.contains_key(job) {
             return Err(std::io::Error::new(
@@ -189,22 +197,26 @@ impl Coordinator {
         }
         std::fs::create_dir_all(&self.config.store_dir)?;
         let store_path = self.config.store_dir.join(format!("{job}.jsonl"));
-        let store = TrialStore::create(&store_path, &header)?;
-        let reps = header.reps;
+        let (store, contents) = TrialStore::open(&store_path, &header)?;
+        let mut done = vec![None; header.reps];
+        for record in &contents.records {
+            done[record.idx] = Some(record_hash(record));
+        }
+        let completed = contents.records.len();
         state.jobs.insert(
             job.to_string(),
             JobState {
                 header,
                 store,
                 store_path,
-                done: vec![None; reps],
-                completed: 0,
-                pending: (0..reps).collect(),
+                done,
+                completed,
+                pending: contents.missing.into_iter().collect(),
                 reclaims: 0,
             },
         );
         obs::counter(obs::names::FABRIC_JOBS, 1);
-        Ok(())
+        Ok(completed)
     }
 
     /// The stored description of one job.
@@ -426,7 +438,7 @@ impl Coordinator {
                     ),
                 ));
             }
-            let hash = fnv1a(serde_json::to_value(record).to_string().as_bytes());
+            let hash = record_hash(record);
             match job.done[record.idx] {
                 Some(existing) if existing == hash => {
                     ack.duplicates += 1;
@@ -624,7 +636,7 @@ impl Coordinator {
                     return Response::text(400, "malformed job submission");
                 };
                 match self.submit_job(&submission.job, submission.header) {
-                    Ok(()) => Response::json("{\"accepted\":true}".to_string()),
+                    Ok(_) => Response::json("{\"accepted\":true}".to_string()),
                     Err(e) => io_error_response(&e),
                 }
             }
@@ -728,24 +740,15 @@ pub fn serve(
     })
 }
 
-/// FNV-1a 64-bit hash (dependency-free dedup fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The dedup fingerprint of an accepted record: the FNV-1a 64-bit hash
+/// (dependency-free) of its canonical store line.
+fn record_hash(record: &TrialRecord) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
+    for &byte in record.line().as_bytes() {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Replay a job's coordinator-side store (see
-/// [`dpaudit_runtime::replay_store`]); helper for `fabric serve`'s final
-/// report.
-///
-/// # Errors
-/// I/O or store-validation errors.
-pub fn replay_job_store(path: &Path) -> std::io::Result<dpaudit_runtime::StoreReport> {
-    dpaudit_runtime::replay_store(path)
 }
 
 #[cfg(test)]
@@ -790,13 +793,30 @@ mod tests {
         }
     }
 
+    fn test_store_dir(label: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("dpaudit_fabric_coord_{label}"))
+    }
+
     fn test_coordinator(label: &str, ttl: Duration) -> Coordinator {
-        let dir = std::env::temp_dir().join(format!("dpaudit_fabric_coord_{label}"));
+        let dir = test_store_dir(label);
         let _ = std::fs::remove_dir_all(&dir);
         let mut config = CoordinatorConfig::new(dir);
         config.lease_ttl = ttl;
         config.lease_trials = 3;
         Coordinator::new(config)
+    }
+
+    /// A coordinator over a store directory already holding job `a`'s
+    /// store: `header` and the records `stored`, as a previous run left it.
+    fn restarted_coordinator(label: &str, header: &StoreHeader, stored: &[usize]) -> Coordinator {
+        let coordinator = test_coordinator(label, Duration::from_secs(30));
+        let dir = test_store_dir(label);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut store = TrialStore::create(&dir.join("a.jsonl"), header).unwrap();
+        for &idx in stored {
+            store.append(&toy_record(idx)).unwrap();
+        }
+        coordinator
     }
 
     fn claim(coordinator: &Coordinator, worker: &str, max: usize) -> LeaseReply {
@@ -904,7 +924,7 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // The accepted records are durably replayable.
         let path = coordinator.store_path("a").unwrap();
-        let replay = replay_job_store(&path).unwrap();
+        let replay = dpaudit_runtime::replay_store(&path).unwrap();
         assert_eq!(replay.completed, 2);
         assert_eq!(replay.missing, vec![2, 3]);
     }
@@ -975,6 +995,78 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn restart_over_a_partial_job_store_leases_only_the_missing_trials() {
+        let coordinator = restarted_coordinator("restart_partial", &toy_header(4), &[2, 0]);
+        assert_eq!(coordinator.submit_job("a", toy_header(4)).unwrap(), 2);
+        let status = coordinator.status();
+        assert_eq!((status.jobs[0].completed, status.jobs[0].pending), (2, 2));
+        assert!(!coordinator.all_done());
+        let LeaseReply::Granted { indices, .. } = claim(&coordinator, "w", 3) else {
+            panic!("expected grant");
+        };
+        assert_eq!(indices, vec![1, 3]);
+        // Stored trials carry the hash ingest computes: a re-submission is
+        // a duplicate, different bytes a conflict.
+        let submit = SubmitHeader {
+            job: "a".into(),
+            lease: None,
+            worker: "w".into(),
+            metrics: None,
+        };
+        let ack = coordinator.ingest(&submit, &[toy_record(0)]).unwrap();
+        assert_eq!((ack.accepted, ack.duplicates), (0, 1));
+        let mut conflicting = toy_record(2);
+        conflicting.eps_ls += 1.0;
+        let err = coordinator.ingest(&submit, &[conflicting]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    }
+
+    #[test]
+    fn restart_over_a_complete_job_store_is_done_at_once() {
+        let coordinator = restarted_coordinator("restart_done", &toy_header(3), &[1, 0, 2]);
+        let path = test_store_dir("restart_done").join("a.jsonl");
+        let before = std::fs::read(&path).unwrap();
+        assert_eq!(coordinator.submit_job("a", toy_header(3)).unwrap(), 3);
+        assert!(coordinator.all_done());
+        assert_eq!(claim(&coordinator, "w", 1), LeaseReply::Done);
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+    }
+
+    #[test]
+    fn restart_refuses_a_job_store_of_another_header_untouched() {
+        let coordinator = restarted_coordinator("restart_other", &toy_header(4), &[0, 1]);
+        let path = test_store_dir("restart_other").join("a.jsonl");
+        let before = std::fs::read(&path).unwrap();
+        let err = coordinator.submit_job("a", toy_header(5)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("different header"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert!(coordinator.job_ids().is_empty());
+    }
+
+    #[test]
+    fn a_job_no_worker_can_run_is_refused_before_any_file_exists() {
+        let coordinator = test_coordinator("blas_job", Duration::from_secs(30));
+        let mut header = toy_header(2);
+        header.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Blas;
+        let submission = crate::protocol::JobSubmission {
+            job: "a-blas".into(),
+            header,
+        };
+        let response = coordinator.handle(&Request {
+            method: "POST".into(),
+            path: "/job".into(),
+            query: String::new(),
+            body: serde_json::to_value(&submission).to_string().into_bytes(),
+        });
+        assert_eq!(response.status, 400);
+        let body = String::from_utf8_lossy(&response.body).into_owned();
+        assert!(body.contains("backend `blas` was removed"), "{body}");
+        assert!(!test_store_dir("blas_job").join("a-blas.jsonl").exists());
+        assert!(coordinator.status().jobs.is_empty());
     }
 
     #[test]

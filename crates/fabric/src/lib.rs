@@ -24,7 +24,9 @@
 //! Fault model: workers may crash, stall, or double-run trials; the
 //! coordinator is the single point of truth and persists every accepted
 //! record to an fsync'd trial store before acking, so a coordinator
-//! restart resumes from its store like any interrupted local run.
+//! restart resumes from its store like any interrupted local run. Records
+//! may appear in any order in a job store or shard; every reader indexes
+//! them with the runtime's one reading rule (`dpaudit_runtime::read_store`).
 
 pub mod client;
 pub mod coordinator;
@@ -34,8 +36,8 @@ pub mod signal;
 pub mod worker;
 
 pub use client::{seed_from_id, Backoff, Client};
-pub use coordinator::{replay_job_store, serve, Coordinator, CoordinatorConfig};
-pub use merge::{merge_shards, Merged};
+pub use coordinator::{serve, Coordinator, CoordinatorConfig};
+pub use merge::merge_shards;
 pub use protocol::{
     valid_job_id, FleetReport, FleetWorker, JobDescriptor, JobStatus, JobSubmission, LeaseReply,
     LeaseRequest, RenewReply, RenewRequest, StatusReport, SubmitAck, SubmitHeader,

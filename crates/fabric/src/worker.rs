@@ -31,8 +31,7 @@ use crate::client::{seed_from_id, Backoff, Client};
 use crate::protocol::{valid_job_id, LeaseReply, LeaseRequest, RenewRequest, SubmitHeader};
 use dpaudit_obs::{self as obs, MetricsRegistry, MetricsSnapshot, Sink as _, TraceContext};
 use dpaudit_runtime::{
-    read_store, LeaseBatch, SourceRunStats, StoreHeader, TrialRecord, TrialSink, TrialSource,
-    TrialStore,
+    LeaseBatch, SourceRunStats, StoreHeader, TrialRecord, TrialSink, TrialSource, TrialStore,
 };
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
@@ -240,8 +239,10 @@ struct ShardSink<'a> {
 }
 
 impl ShardSink<'_> {
-    /// The shard file is created lazily on the first record, so a worker
-    /// that never wins a lease leaves no empty shard behind.
+    /// The shard file is opened lazily on the first record, so a worker
+    /// that never wins a lease leaves no empty shard behind. A shard a
+    /// previous run left is continued; one written for another job header
+    /// is refused.
     fn store(&mut self) -> std::io::Result<&mut TrialStore> {
         if self.store.is_none() {
             std::fs::create_dir_all(&self.config.shard_dir)?;
@@ -249,24 +250,9 @@ impl ShardSink<'_> {
                 .config
                 .shard_dir
                 .join(format!("{}.{}.jsonl", self.job, self.config.worker_id));
-            let store = if path.exists() {
-                let contents = read_store(&path)?;
-                if contents.header != self.header {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "existing shard {} was written for a different job header",
-                            path.display()
-                        ),
-                    ));
-                }
-                TrialStore::open_append(&path, contents.keep_bytes)?
-            } else {
-                TrialStore::create(&path, &self.header)?
-            };
-            self.store = Some(store);
+            self.store = Some(TrialStore::open(&path, &self.header)?.0);
         }
-        Ok(self.store.as_mut().expect("just created"))
+        Ok(self.store.as_mut().expect("just opened"))
     }
 
     /// The full registry state and the delta not yet acknowledged by the

@@ -1,13 +1,14 @@
 //! Property tests: merging shard stores is invariant to how the records
 //! were split across shards, ordered within them, or duplicated between
 //! them — the merged report is always bit-identical to replaying one
-//! single-node store holding the same records.
+//! single-node store holding the same records. One reading rule covers a
+//! single store and a split into shards alike.
 
 use dpaudit_core::experiment::DiTrialResult;
-use dpaudit_core::{rho_beta, RecordDetail};
+use dpaudit_core::{rho_beta, AuditReport, RecordDetail};
 use dpaudit_fabric::merge_shards;
 use dpaudit_runtime::{
-    replay_store, testkit, Seed, StoreHeader, TrialRecord, TrialStore, SCHEMA_VERSION,
+    read_store, replay_store, testkit, Seed, StoreHeader, TrialRecord, TrialStore, SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -59,6 +60,26 @@ fn fake_record(idx: usize, belief: f64, eps: f64) -> TrialRecord {
             test_accuracy: None,
         },
     }
+}
+
+fn write_store(path: &std::path::Path, header: &StoreHeader, records: &[TrialRecord]) {
+    let mut store = TrialStore::create(path, header).unwrap();
+    for record in records {
+        store.append(record).unwrap();
+    }
+}
+
+fn report_bits(report: Option<AuditReport>) -> Option<[u64; 6]> {
+    report.map(|r| {
+        [
+            r.eps_from_ls.to_bits(),
+            r.eps_from_belief.to_bits(),
+            r.eps_from_advantage.to_bits(),
+            r.advantage.to_bits(),
+            r.max_belief.to_bits(),
+            r.empirical_delta.to_bits(),
+        ]
+    })
 }
 
 /// Deterministic scramble: `(k * odd_stride) % n` visits every index once
@@ -156,6 +177,88 @@ proptest! {
         let replayed = replay_store(&merged_path).unwrap().report.unwrap();
         prop_assert_eq!(replayed.eps_from_ls.to_bits(), expected.eps_from_ls.to_bits());
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn one_reading_rule_for_a_store_and_its_shards(
+        reps in 2usize..16,
+        present in proptest::collection::vec(0.0f64..1.0, 16usize),
+        beliefs in proptest::collection::vec(0.0f64..1.0, 16usize),
+        copies in proptest::collection::vec(0.0f64..1.0, 0..8),
+        conflict in 0.0f64..1.0,
+        out_of_range in 0.0f64..1.0,
+        order in proptest::collection::vec(0.0f64..1.0, 32usize),
+        assignment in proptest::collection::vec(0.0f64..1.0, 32usize),
+        shards in 1usize..5,
+    ) {
+        let header = header(reps);
+        let unique: Vec<TrialRecord> = (0..reps)
+            .filter(|&i| present[i] > 0.3)
+            .map(|i| fake_record(i, beliefs[i], beliefs[i] * 3.0 + 0.1))
+            .collect();
+        let missing: Vec<usize> = (0..reps).filter(|&i| present[i] <= 0.3).collect();
+        let pick = |u: f64| unique[(u * unique.len() as f64) as usize % unique.len()].clone();
+
+        // Every unique record, identical copies, and maybe one conflicting
+        // copy and one record past the batch.
+        let mut lines = unique.clone();
+        if !unique.is_empty() {
+            lines.extend(copies.iter().map(|&u| pick(u)));
+        }
+        let has_conflict = conflict < 0.25 && !unique.is_empty();
+        if has_conflict {
+            let mut edited = pick(conflict * 4.0);
+            edited.eps_ls += 1.0;
+            lines.push(edited);
+        }
+        let has_out_of_range = out_of_range < 0.25;
+        if has_out_of_range {
+            lines.push(fake_record(reps + (out_of_range * 40.0) as usize, 0.5, 1.0));
+        }
+        let duplicates = lines.len() - unique.len() - usize::from(has_conflict)
+            - usize::from(has_out_of_range);
+
+        // One file holding every line in a random order, and the same lines
+        // split over `shards` files.
+        let mut keyed: Vec<(f64, TrialRecord)> = order.iter().copied().zip(lines).collect();
+        keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let dir = unique_dir();
+        let all = dir.join("all.jsonl");
+        let shuffled: Vec<TrialRecord> = keyed.iter().map(|(_, r)| r.clone()).collect();
+        write_store(&all, &header, &shuffled);
+        let mut split: Vec<Vec<TrialRecord>> = vec![Vec::new(); shards];
+        for (j, record) in shuffled.into_iter().enumerate() {
+            split[((assignment[j] * shards as f64) as usize).min(shards - 1)].push(record);
+        }
+        let paths: Vec<PathBuf> = split
+            .iter()
+            .enumerate()
+            .map(|(k, records)| {
+                let path = dir.join(format!("shard{k}.jsonl"));
+                write_store(&path, &header, records);
+                path
+            })
+            .collect();
+
+        let read = read_store(&all);
+        let merged = merge_shards(&paths);
+        if has_conflict || has_out_of_range {
+            for result in [read, merged] {
+                let err = result.unwrap_err();
+                prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            }
+        } else {
+            let reference = dir.join("reference.jsonl");
+            write_store(&reference, &header, &unique);
+            let expected = report_bits(replay_store(&reference).unwrap().report);
+            prop_assert_eq!(expected.is_some(), missing.is_empty());
+            for contents in [read.unwrap(), merged.unwrap()] {
+                prop_assert_eq!(&contents.records, &unique);
+                prop_assert_eq!(&contents.missing, &missing);
+                prop_assert_eq!(contents.duplicates, duplicates);
+                prop_assert_eq!(report_bits(contents.report()), expected);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

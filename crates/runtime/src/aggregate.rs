@@ -13,7 +13,7 @@
 //! when contiguous from index 0. The buffer holds at most
 //! (workers − 1) stragglers in practice.
 
-use crate::store::TrialRecord;
+use crate::store::{StoreHeader, TrialRecord};
 use dpaudit_core::audit::EstimatorInputs;
 use dpaudit_core::AuditReport;
 use std::collections::BTreeMap;
@@ -81,9 +81,18 @@ impl StreamingAggregates {
         }
     }
 
+    /// Start aggregating the batch `header` describes.
+    pub fn for_header(header: &StoreHeader) -> Self {
+        Self::new(
+            header.reps,
+            header.target_epsilon,
+            header.delta,
+            header.rho_beta_bound,
+        )
+    }
+
     /// Feed one completed trial. Arrival order is arbitrary; duplicates of
-    /// an already-folded or pending index are ignored (a resumed store can
-    /// legitimately contain them).
+    /// an already-folded or pending index are ignored.
     ///
     /// # Panics
     /// Panics when `idx` is outside `0..reps`.

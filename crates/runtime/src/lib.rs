@@ -19,6 +19,8 @@
 //! * [`store`] — an append-only JSONL trial store: one fsync'd line per
 //!   trial under a header carrying the full batch description. A crash can
 //!   lose at most the line being written; replay tolerates exactly that.
+//!   [`read_store`] is the one reading of a store: one record per trial
+//!   index, for every reader.
 //! * [`session`] — ties the two together with crash-safe resume: replay
 //!   the store, run only the missing trial indices, and aggregate.
 //! * [`aggregate`] — streaming O(1)-memory folds (success rate, advantage,
@@ -42,7 +44,7 @@ pub use aggregate::{StreamingAggregates, TrialOutcome};
 pub use executor::{execute_trial, run_trials, ExecPlan, Parallelism};
 pub use progress::{Progress, ProgressMeter};
 pub use report::{render_partial, render_report, replay_store, StoreReport};
-pub use session::{AuditSession, RunOutcome};
+pub use session::{check_runnable, AuditSession, RunOutcome};
 pub use source::{
     run_from_source, FnSink, LeaseBatch, LocalSource, SourceRunStats, TrialSink, TrialSource,
 };

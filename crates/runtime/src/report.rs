@@ -1,8 +1,7 @@
 //! Offline reporting: replay a trial store's aggregates without executing
 //! anything, and render results for terminals.
 
-use crate::aggregate::{StreamingAggregates, TrialOutcome};
-use crate::store::{missing_indices, read_store, StoreContents, StoreHeader};
+use crate::store::{read_store, StoreHeader};
 use dpaudit_core::AuditReport;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,36 +20,17 @@ pub struct StoreReport {
     pub report: Option<AuditReport>,
 }
 
-/// Replay a store's records through the streaming aggregators.
+/// Replay a store: [`read_store`], then [`crate::StoreContents::report`].
 ///
 /// # Errors
-/// I/O errors, corrupt stores, or schema-version mismatches.
+/// The errors of [`read_store`].
 pub fn replay_store(path: &Path) -> std::io::Result<StoreReport> {
-    let StoreContents {
-        header, records, ..
-    } = read_store(path)?;
-    let mut aggregates = StreamingAggregates::new(
-        header.reps,
-        header.target_epsilon,
-        header.delta,
-        header.rho_beta_bound,
-    );
-    // The aggregator keeps the first record of a duplicated index.
-    for record in records.iter().filter(|r| r.idx < header.reps) {
-        aggregates.push(record.idx, TrialOutcome::from(record));
-    }
-    let missing = missing_indices(header.reps, &records);
-    let completed = header.reps - missing.len();
-    let report = if aggregates.is_complete() {
-        Some(aggregates.finish())
-    } else {
-        None
-    };
+    let contents = read_store(path)?;
     Ok(StoreReport {
-        header,
-        completed,
-        missing,
-        report,
+        completed: contents.records.len(),
+        report: contents.report(),
+        header: contents.header,
+        missing: contents.missing,
     })
 }
 

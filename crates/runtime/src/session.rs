@@ -21,7 +21,7 @@ use crate::aggregate::{StreamingAggregates, TrialOutcome};
 use crate::executor::{ExecPlan, Parallelism};
 use crate::progress::{Progress, ProgressMeter};
 use crate::source::{run_from_source, FnSink, LocalSource};
-use crate::store::{missing_indices, read_store, StoreHeader, TrialRecord, TrialStore};
+use crate::store::{read_store, StoreHeader, TrialRecord, TrialStore};
 use dpaudit_core::{AuditReport, MaxBeliefEstimator};
 use dpaudit_datasets::Dataset;
 use dpaudit_dpsgd::NeighborPair;
@@ -45,18 +45,25 @@ pub struct RunOutcome {
 pub struct AuditSession {
     header: StoreHeader,
     store: Option<TrialStore>,
+    /// Stored records to replay, one per index, ascending.
     existing: Vec<TrialRecord>,
+    /// Indices with no stored record, ascending: what [`Self::run`] executes.
+    missing: Vec<usize>,
 }
 
-/// Reject a header whose recorded compute backend this binary cannot run,
-/// *before* any trial runs or any store byte is written.
+/// The one runnable-header check: reject a header whose recorded compute
+/// backend this binary cannot run, *before* any trial runs or any store
+/// byte is written. Store readers never call it, so old stores still report.
 ///
 /// Trial records are a pure function of the seeds **and** the backend's
 /// floating-point accumulation order, so running a `blas` store's missing
 /// trials on the native kernels would silently break the bit-identical
 /// resume guarantee. The error names the store schema version so operators
 /// can tell a removed backend from a corrupt store.
-fn check_backend(header: &StoreHeader) -> std::io::Result<()> {
+///
+/// # Errors
+/// `InvalidInput` naming the removed backend.
+pub fn check_runnable(header: &StoreHeader) -> std::io::Result<()> {
     header.settings.dpsgd.backend.resolve().map_err(|e| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -74,6 +81,7 @@ impl AuditSession {
     /// A session with no durable store: results live only in memory.
     pub fn in_memory(header: StoreHeader) -> Self {
         AuditSession {
+            missing: (0..header.reps).collect(),
             header,
             store: None,
             existing: Vec::new(),
@@ -87,18 +95,20 @@ impl AuditSession {
     /// I/O errors from store creation, or a header naming a removed
     /// compute backend.
     pub fn create(path: &Path, header: StoreHeader) -> std::io::Result<Self> {
-        check_backend(&header)?;
+        check_runnable(&header)?;
         let store = TrialStore::create(path, &header)?;
         Ok(AuditSession {
+            missing: (0..header.reps).collect(),
             header,
             store: Some(store),
             existing: Vec::new(),
         })
     }
 
-    /// Resume from an existing store: validate the header, replay all
-    /// complete records, and cut off a crash-torn partial tail so appends
-    /// continue from a clean line boundary.
+    /// Resume from an existing store: validate the header, keep one record
+    /// per stored index (the store's reading rule), and cut off a
+    /// crash-torn partial tail so appends continue from a clean line
+    /// boundary.
     ///
     /// # Errors
     /// I/O errors, corrupt stores, schema-version mismatches, or a store
@@ -106,12 +116,13 @@ impl AuditSession {
     /// not be executed bit-identically).
     pub fn resume(path: &Path) -> std::io::Result<Self> {
         let contents = read_store(path)?;
-        check_backend(&contents.header)?;
+        check_runnable(&contents.header)?;
         let store = TrialStore::open_append(path, contents.keep_bytes)?;
         Ok(AuditSession {
             header: contents.header,
             store: Some(store),
             existing: contents.records,
+            missing: contents.missing,
         })
     }
 
@@ -123,7 +134,7 @@ impl AuditSession {
     /// Trial indices not yet present — exactly what [`Self::run`] will
     /// execute.
     pub fn missing_indices(&self) -> Vec<usize> {
-        missing_indices(self.header.reps, &self.existing)
+        self.missing.clone()
     }
 
     /// Run the missing trials on `parallelism.trial_threads` workers
@@ -153,12 +164,7 @@ impl AuditSession {
     ) -> std::io::Result<RunOutcome> {
         let run_span = obs::span(obs::names::RUN_SPAN);
         let header = &self.header;
-        let mut aggregates = StreamingAggregates::new(
-            header.reps,
-            header.target_epsilon,
-            header.delta,
-            header.rho_beta_bound,
-        );
+        let mut aggregates = StreamingAggregates::for_header(header);
         if obs::enabled() {
             // Anchor the live ε′ stream: the budget the run is audited
             // against, so exporters can draw ε′ vs ε without extra context.
@@ -187,7 +193,7 @@ impl AuditSession {
         if replayed > 0 {
             obs::counter(obs::names::TRIALS_REPLAYED, replayed as u64);
         }
-        let missing = self.missing_indices();
+        let missing = &self.missing;
         let plan = ExecPlan::for_header(header, parallelism);
 
         let mut meter = ProgressMeter::new(missing.len(), replayed);

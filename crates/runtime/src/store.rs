@@ -10,8 +10,13 @@
 //! ```
 //!
 //! * One JSON object per line; the first line is always the header.
-//! * Trial records may appear in **any order** (workers finish out of
-//!   order) and carry their trial index explicitly.
+//! * Trial records may appear in **any order** in the file (workers finish
+//!   out of order) and carry their trial index explicitly. The reader
+//!   indexes them, and [`StoreContents::index`] is the only code that
+//!   decides which record is trial `i`: one record per index; a line
+//!   repeating its index's kept record byte for byte is dropped and
+//!   counted; a different line for a kept index, or an index outside
+//!   `0..reps`, is an `InvalidData` error.
 //! * Every append is flushed and fsync'd before `append` returns, so a
 //!   record is durable once the call completes.
 //! * Seeds are full-width `u64`s. The vendored JSON model holds numbers as
@@ -25,8 +30,11 @@
 //! it described simply re-runs on resume); an unparsable line anywhere
 //! else is real corruption and an error.
 
+use crate::aggregate::{StreamingAggregates, TrialOutcome};
 use dpaudit_core::experiment::{DiTrialResult, RecordDetail, TrialSettings};
+use dpaudit_core::AuditReport;
 use serde::{Deserialize, Error, Serialize, Value};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::Path;
@@ -108,6 +116,18 @@ pub struct TrialRecord {
     pub trial: DiTrialResult,
 }
 
+impl TrialRecord {
+    /// The canonical JSON line (no newline) that [`TrialStore::append`]
+    /// writes, and that the reading rule and the fabric's ingest compare.
+    pub fn line(&self) -> String {
+        serde_json::to_value(self).to_string()
+    }
+}
+
+fn invalid_data(message: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+}
+
 /// Append-only writer over a trial store file.
 pub struct TrialStore {
     writer: BufWriter<File>,
@@ -124,8 +144,29 @@ impl TrialStore {
         let mut store = TrialStore {
             writer: BufWriter::new(file),
         };
-        store.append_line(&serde_json::to_value(header))?;
+        store.append_line(serde_json::to_value(header).to_string())?;
         Ok(store)
+    }
+
+    /// Continue the store at `path` for a known `header` (cutting a torn
+    /// tail), or create it when absent; also returns what it holds.
+    ///
+    /// # Errors
+    /// `InvalidData`, file untouched, when it was written for another
+    /// header; the errors of [`read_store`].
+    pub fn open(path: &Path, header: &StoreHeader) -> std::io::Result<(Self, StoreContents)> {
+        if !path.exists() {
+            TrialStore::create(path, header)?;
+        }
+        let contents = read_store(path)?;
+        if contents.header != *header {
+            return Err(invalid_data(format!(
+                "{} was written for a different header",
+                path.display()
+            )));
+        }
+        let store = TrialStore::open_append(path, contents.keep_bytes)?;
+        Ok((store, contents))
     }
 
     /// Open an existing store for appending (after [`read_store`] has
@@ -150,11 +191,10 @@ impl TrialStore {
     /// # Errors
     /// I/O errors from write or fsync.
     pub fn append(&mut self, record: &TrialRecord) -> std::io::Result<()> {
-        self.append_line(&serde_json::to_value(record))
+        self.append_line(record.line())
     }
 
-    fn append_line(&mut self, value: &Value) -> std::io::Result<()> {
-        let mut line = value.to_string();
+    fn append_line(&mut self, mut line: String) -> std::io::Result<()> {
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
@@ -162,72 +202,139 @@ impl TrialStore {
     }
 }
 
-/// Everything recovered from an existing store file.
+/// A store's records, indexed: what [`read_store`] recovers from a file
+/// and what the fabric's shard merge assembles.
 #[derive(Debug)]
 pub struct StoreContents {
     /// The validated header.
     pub header: StoreHeader,
-    /// All complete trial records, in file order (which is completion
-    /// order, not index order).
+    /// One record per trial index present, ascending by index.
     pub records: Vec<TrialRecord>,
+    /// The indices in `0..reps` with no record, ascending: exactly the work
+    /// a resume must run.
+    pub missing: Vec<usize>,
+    /// Record lines dropped as byte-for-byte repeats of a kept record.
+    pub duplicates: usize,
     /// Byte length of the valid prefix. Equal to the file length unless the
     /// final line was truncated by a crash; pass to [`TrialStore::open_append`]
-    /// to cut the partial line off before resuming.
+    /// to cut the partial line off before resuming. Zero for a shard merge.
     pub keep_bytes: u64,
 }
 
-/// The trial indices in `0..reps` that have no record in `records` —
-/// exactly the work a resume must run. Sorted ascending; duplicates in
-/// the store are harmless (later records simply confirm earlier ones).
-pub fn missing_indices(reps: usize, records: &[TrialRecord]) -> Vec<usize> {
-    let mut have = vec![false; reps];
-    for record in records {
-        if record.idx < reps {
-            have[record.idx] = true;
+impl StoreContents {
+    /// Apply the reading rule (see the module docs) to `records`, in any
+    /// order. Repeats compare as [`TrialRecord::line`]s, not as `f64`s.
+    ///
+    /// # Errors
+    /// `InvalidData` for zero reps, an index outside `0..reps`, or two
+    /// different records for one index (a determinism conflict).
+    pub fn index(
+        header: StoreHeader,
+        records: impl IntoIterator<Item = TrialRecord>,
+        keep_bytes: u64,
+    ) -> std::io::Result<Self> {
+        let reps = header.reps;
+        if reps == 0 {
+            return Err(invalid_data("store header has zero reps".into()));
         }
+        let mut by_index = BTreeMap::new();
+        let mut duplicates = 0;
+        for record in records {
+            if record.idx >= reps {
+                return Err(invalid_data(format!(
+                    "trial index {} out of range 0..{reps}",
+                    record.idx
+                )));
+            }
+            match by_index.entry(record.idx) {
+                Entry::Vacant(slot) => {
+                    slot.insert(record);
+                }
+                Entry::Occupied(kept) if kept.get().line() == record.line() => duplicates += 1,
+                Entry::Occupied(_) => {
+                    return Err(invalid_data(format!(
+                        "determinism conflict: trial {} appears with different bytes",
+                        record.idx
+                    )));
+                }
+            }
+        }
+        let missing = (0..reps).filter(|i| !by_index.contains_key(i)).collect();
+        Ok(StoreContents {
+            header,
+            records: by_index.into_values().collect(),
+            missing,
+            duplicates,
+            keep_bytes,
+        })
     }
-    (0..reps).filter(|&i| !have[i]).collect()
+
+    /// Whether every trial index has a record.
+    pub fn is_complete(&self) -> bool {
+        self.missing.is_empty()
+    }
+
+    /// The one replay fold: the records in index order through
+    /// [`StreamingAggregates`]. `Some` only when the batch is complete, and
+    /// then bit-identical to the report of the run that wrote them.
+    pub fn report(&self) -> Option<AuditReport> {
+        self.is_complete().then(|| {
+            let mut aggregates = StreamingAggregates::for_header(&self.header);
+            for record in &self.records {
+                aggregates.push(record.idx, TrialOutcome::from(record));
+            }
+            aggregates.finish()
+        })
+    }
+
+    /// Write the records, in index order, as one trial store under the same
+    /// header: replayable and resumable like a local `audit run`'s.
+    ///
+    /// # Errors
+    /// I/O errors.
+    pub fn write_store(&self, path: &Path) -> std::io::Result<()> {
+        let mut store = TrialStore::create(path, &self.header)?;
+        for record in &self.records {
+            store.append(record)?;
+        }
+        Ok(())
+    }
 }
 
-/// Read and validate a trial store.
+/// Read, validate and index a trial store.
 ///
 /// Tolerates a truncated final line (crash mid-append); any other parse
 /// failure, a bad header, or a schema-version mismatch is an error.
 ///
 /// # Errors
-/// I/O errors, malformed JSON other than a trailing partial line, or an
-/// incompatible header.
+/// I/O errors, malformed JSON other than a trailing partial line, an
+/// incompatible header, or the errors of [`StoreContents::index`]; every
+/// error names the file.
 pub fn read_store(path: &Path) -> std::io::Result<StoreContents> {
     let mut text = String::new();
     File::open(path)?.read_to_string(&mut text)?;
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let bad = |msg: String| invalid_data(format!("{}: {msg}", path.display()));
 
     // Split keeping track of byte offsets so a truncated tail can be cut.
     let mut lines: Vec<(usize, &str)> = Vec::new(); // (end_offset_incl_newline, line)
-    let mut start = 0usize;
-    while start < text.len() {
-        let rest = &text[start..];
-        let (line, end) = match rest.find('\n') {
-            Some(i) => (&rest[..i], start + i + 1),
-            None => (rest, text.len()),
-        };
+    let mut end = 0;
+    for raw in text.split_inclusive('\n') {
+        end += raw.len();
+        let line = raw.strip_suffix('\n').unwrap_or(raw);
         if !line.trim().is_empty() {
             lines.push((end, line));
         }
-        start = end;
     }
     let Some((_, header_line)) = lines.first() else {
-        return Err(bad(format!("{}: empty trial store", path.display())));
+        return Err(bad("empty trial store".into()));
     };
 
-    let header: StoreHeader = serde_json::from_str(header_line)
-        .map_err(|e| bad(format!("{}: bad store header: {e}", path.display())))?;
+    let header: StoreHeader =
+        serde_json::from_str(header_line).map_err(|e| bad(format!("bad store header: {e}")))?;
     if header.schema_version != SCHEMA_VERSION {
         return Err(bad(format!(
-            "{}: store schema version {} (this binary reads {})",
-            path.display(),
-            header.schema_version,
-            SCHEMA_VERSION
+            "store schema version {} (this binary reads {})",
+            header.schema_version, SCHEMA_VERSION
         )));
     }
 
@@ -240,27 +347,16 @@ pub fn read_store(path: &Path) -> std::io::Result<StoreContents> {
                 records.push(record);
                 keep_bytes = *end as u64;
             }
-            Err(e) if i == last => {
-                // Truncated final append from a crash: drop it, resume will
-                // re-run that trial.
-                let _ = e;
-                break;
-            }
+            // Truncated final append from a crash: drop it, resume will
+            // re-run that trial.
+            Err(_) if i == last => break,
             Err(e) => {
-                return Err(bad(format!(
-                    "{}: corrupt trial record on line {}: {e}",
-                    path.display(),
-                    i + 1
-                )));
+                return Err(bad(format!("corrupt trial record on line {}: {e}", i + 1)));
             }
         }
     }
 
-    Ok(StoreContents {
-        header,
-        records,
-        keep_bytes,
-    })
+    StoreContents::index(header, records, keep_bytes).map_err(|e| bad(e.to_string()))
 }
 
 #[cfg(test)]
@@ -315,10 +411,27 @@ mod tests {
         }
     }
 
+    /// A fresh directory per test, so tests can run side by side.
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dpaudit_store_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Write a store by hand: the header line, then `records` verbatim.
+    fn write_lines(path: &Path, header: &StoreHeader, records: &[TrialRecord]) {
+        let mut text = serde_json::to_value(header).to_string() + "\n";
+        for record in records {
+            text.push_str(&record.line());
+            text.push('\n');
+        }
+        std::fs::write(path, text).unwrap();
+    }
+
     #[test]
     fn round_trip_preserves_header_and_records() {
-        let dir = std::env::temp_dir().join("dpaudit_store_rt");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("rt");
         let path = dir.join("round_trip.jsonl");
         let h = header(3);
         let mut store = TrialStore::create(&path, &h).unwrap();
@@ -329,19 +442,18 @@ mod tests {
 
         let contents = read_store(&path).unwrap();
         assert_eq!(contents.header, h);
-        assert_eq!(contents.records, vec![record(2), record(0)]);
-        assert_eq!(
-            missing_indices(contents.header.reps, &contents.records),
-            vec![1]
-        );
+        // Indexed: ascending, whatever the completion order in the file.
+        assert_eq!(contents.records, vec![record(0), record(2)]);
+        assert_eq!(contents.missing, vec![1]);
+        assert_eq!(contents.duplicates, 0);
+        assert!(!contents.is_complete() && contents.report().is_none());
         assert_eq!(contents.keep_bytes, std::fs::metadata(&path).unwrap().len());
-        std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_tail_is_dropped_and_resumable() {
-        let dir = std::env::temp_dir().join("dpaudit_store_trunc");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("trunc");
         let path = dir.join("truncated.jsonl");
         let h = header(4);
         let mut store = TrialStore::create(&path, &h).unwrap();
@@ -357,22 +469,113 @@ mod tests {
 
         let contents = read_store(&path).unwrap();
         assert_eq!(contents.records, vec![record(0)]);
-        assert_eq!(
-            missing_indices(contents.header.reps, &contents.records),
-            vec![1, 2, 3]
-        );
+        assert_eq!(contents.missing, vec![1, 2, 3]);
         assert!(contents.keep_bytes < len - 10);
 
         // Re-open for append, cutting the partial line, and finish the batch.
         let mut store = TrialStore::open_append(&path, contents.keep_bytes).unwrap();
-        for idx in missing_indices(contents.header.reps, &contents.records) {
+        for &idx in &contents.missing {
             store.append(&record(idx)).unwrap();
         }
         drop(store);
         let contents = read_store(&path).unwrap();
         assert_eq!(contents.records.len(), 4);
-        assert!(missing_indices(contents.header.reps, &contents.records).is_empty());
-        std::fs::remove_file(&path).unwrap();
+        assert!(contents.is_complete() && contents.report().is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_index_and_zero_reps_are_invalid_data() {
+        let dir = temp_dir("range");
+        let path = dir.join("range.jsonl");
+        let mut stray = record(1);
+        stray.idx = 7;
+        write_lines(&path, &header(3), &[record(0), stray]);
+        let err = read_store(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+        assert!(msg.contains("trial index 7 out of range 0..3"), "{msg}");
+        // A header of zero reps has no trial at all: an error, not a panic
+        // in the replay fold.
+        write_lines(&path, &header(0), &[]);
+        let err = read_store(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("zero reps"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeated_line_is_dropped_and_counted() {
+        let dir = temp_dir("dup");
+        let path = dir.join("dup.jsonl");
+        write_lines(&path, &header(3), &[record(2), record(0), record(2)]);
+        let contents = read_store(&path).unwrap();
+        assert_eq!(contents.records, vec![record(0), record(2)]);
+        assert_eq!(contents.duplicates, 1);
+        assert_eq!(contents.missing, vec![1]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn different_lines_for_one_index_are_a_determinism_conflict() {
+        let dir = temp_dir("conflict");
+        let path = dir.join("conflict.jsonl");
+        let mut edited = record(0);
+        edited.eps_ls = 0.1;
+        // Whichever line comes first, neither may win silently.
+        for lines in [[edited.clone(), record(0)], [record(0), edited.clone()]] {
+            write_lines(&path, &header(2), &lines);
+            let err = read_store(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("determinism conflict: trial 0 appears with different bytes"),
+                "{err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_creates_continues_and_refuses_another_header() {
+        let dir = temp_dir("open");
+        let path = dir.join("open.jsonl");
+        let h = header(3);
+
+        // Absent: created with the header line, nothing stored yet.
+        let (mut store, contents) = TrialStore::open(&path, &h).unwrap();
+        assert!(contents.records.is_empty());
+        assert_eq!(contents.missing, vec![0, 1, 2]);
+        store.append(&record(1)).unwrap();
+        store.append(&record(0)).unwrap();
+        drop(store);
+
+        // Matching header: continued past a torn tail.
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 10)
+            .unwrap();
+        let (mut store, contents) = TrialStore::open(&path, &h).unwrap();
+        assert_eq!(contents.records, vec![record(1)]);
+        assert_eq!(contents.missing, vec![0, 2]);
+        store.append(&record(0)).unwrap();
+        store.append(&record(2)).unwrap();
+        drop(store);
+        let contents = read_store(&path).unwrap();
+        assert!(contents.is_complete());
+        assert_eq!(contents.records, vec![record(0), record(1), record(2)]);
+
+        // Another header: refused, and the file keeps its bytes.
+        let before = std::fs::read(&path).unwrap();
+        let err = TrialStore::open(&path, &header(5)).err().unwrap();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("different header"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
