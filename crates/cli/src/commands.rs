@@ -13,7 +13,9 @@ use dpaudit_dp::{
     GaussianMechanism, NeighborMode, RdpAccountant,
 };
 use dpaudit_dpsgd::{NeighborPair, SensitivityScaling, Transcript};
-use dpaudit_runtime::{AuditSession, Parallelism, Seed, StoreHeader, SCHEMA_VERSION};
+use dpaudit_runtime::{
+    AuditSession, Parallelism, Seed, StoreHeader, MAX_REPS, MAX_STEPS, SCHEMA_VERSION,
+};
 use std::fmt::Write as _;
 
 use crate::opts::Opts;
@@ -99,7 +101,7 @@ fn cmd_scores(opts: &Opts) -> Result<String, String> {
         }
         _ => return Err("give exactly one of --eps, --rho-beta, --rho-alpha".into()),
     };
-    let steps = steps_opt(opts, 30)?;
+    let steps = opts.count_or("steps", 30, usize::MAX)?;
     let z = calibrate_noise_multiplier_closed_form(eps, delta, steps);
     let mut out = String::new();
     let _ = writeln!(out, "epsilon            = {eps:.6}");
@@ -129,7 +131,7 @@ fn cmd_scores(opts: &Opts) -> Result<String, String> {
 fn cmd_calibrate(opts: &Opts) -> Result<String, String> {
     let eps = opts.f64_req("eps")?;
     let delta = opts.f64_req("delta")?;
-    let steps = steps_opt(opts, 30)?;
+    let steps = opts.count_or("steps", 30, usize::MAX)?;
     let sensitivity = opts.f64_opt("sensitivity")?.unwrap_or(1.0);
     if eps <= 0.0 || !(0.0..1.0).contains(&delta) || delta == 0.0 || sensitivity <= 0.0 {
         return Err("need --eps > 0, --delta in (0, 1), --sensitivity > 0".into());
@@ -170,7 +172,7 @@ fn cmd_calibrate(opts: &Opts) -> Result<String, String> {
 
 fn cmd_compose(opts: &Opts) -> Result<String, String> {
     let z = opts.f64_req("noise-multiplier")?;
-    let steps = steps_opt(opts, 1)?;
+    let steps = opts.count_or("steps", 1, usize::MAX)?;
     let delta = opts.f64_req("delta")?;
     let q = opts.f64_opt("sampling-rate")?;
     if z <= 0.0 || !(0.0..1.0).contains(&delta) || delta == 0.0 {
@@ -240,11 +242,8 @@ fn cmd_audit(opts: &Opts) -> Result<String, String> {
 
 fn cmd_demo(opts: &Opts) -> Result<String, String> {
     let workload = opts.str_opt("workload").unwrap_or("purchase");
-    let reps = opts.usize_or("reps", 10)?;
-    if reps == 0 {
-        return Err("--reps must be positive".into());
-    }
-    let steps = steps_opt(opts, 10)?;
+    let reps = opts.count_or("reps", 10, MAX_REPS)?;
+    let steps = opts.count_or("steps", 10, MAX_STEPS)?;
     let seed = opts.u64_or("seed", 42)?;
     let rho_beta_target = 0.90;
     let delta = 1e-2;
@@ -365,15 +364,6 @@ fn cmd_demo(opts: &Opts) -> Result<String, String> {
         }
     );
     Ok(out)
-}
-
-/// `--steps` with a default; every command that takes it needs at least
-/// one step.
-fn steps_opt(opts: &Opts, default: usize) -> Result<usize, String> {
-    match opts.usize_or("steps", default)? {
-        0 => Err("--steps must be positive".into()),
-        steps => Ok(steps),
-    }
 }
 
 #[cfg(test)]
@@ -1064,7 +1054,7 @@ mod tests {
         // event out of a metrics sink another test installs.
         let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
         let eps_delta = ["--eps", "1", "--delta", "1e-3"];
-        let cases: [(&[&str], &str); 16] = [
+        let cases: [(&[&str], &str); 18] = [
             (
                 &["scores", "--eps", "-1", "--delta", "1e-3"],
                 "--eps must be positive",
@@ -1125,6 +1115,16 @@ mod tests {
             ),
             (&["demo", "--reps", "0"], "--reps must be positive"),
             (&["demo", "--steps", "0"], "--steps must be positive"),
+            // Refused before anything is built: the unknown workload would
+            // be the error otherwise.
+            (
+                &["demo", "--reps", "1048577", "--workload", "bogus"],
+                "--reps 1048577 is above the bound 1048576",
+            ),
+            (
+                &["demo", "--steps", "1048577", "--workload", "bogus"],
+                "--steps 1048577 is above the bound 1048576",
+            ),
         ];
         for (args, expected) in cases {
             // `scores` and `calibrate` need a claim; append it unless the

@@ -10,7 +10,7 @@ use dpaudit_dpsgd::{ComputeMode, NeighborPair, SensitivityScaling};
 use dpaudit_obs::{self as obs, JsonlSink, MetricsRegistry, MultiSink, Sink};
 use dpaudit_runtime::{
     render_partial, render_report, replay_store, AuditSession, Parallelism, Progress, Seed,
-    StoreHeader, SCHEMA_VERSION,
+    StoreHeader, MAX_REPS, MAX_STEPS, SCHEMA_VERSION,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -42,11 +42,8 @@ pub(crate) fn header_from_opts(opts: &Opts) -> Result<StoreHeader, String> {
         opts.str_opt("workload")
             .ok_or("missing required --workload")?,
     )?;
-    let reps = opts.usize_or("reps", 25)?;
-    if reps == 0 {
-        return Err("--reps must be positive".into());
-    }
-    let steps = opts.usize_or("steps", 30)?;
+    let reps = opts.count_or("reps", 25, MAX_REPS)?;
+    let steps = opts.count_or("steps", 30, MAX_STEPS)?;
     let rho_beta = opts.f64_opt("rho-beta")?.unwrap_or(0.90);
     if !(0.5..1.0).contains(&rho_beta) || rho_beta == 0.5 {
         return Err("--rho-beta must be in (0.5, 1)".into());
@@ -63,7 +60,7 @@ pub(crate) fn header_from_opts(opts: &Opts) -> Result<StoreHeader, String> {
     let detail = parse_detail(opts.str_opt("detail").unwrap_or("summary"))?;
     let seed = opts.u64_or("seed", 42)?;
     let train_size = opts.usize_or("train-size", workload.default_train_size())?;
-    check_sizes(steps, train_size, mode)?;
+    check_train_size(train_size, mode)?;
     let label = opts
         .str_opt("label")
         .map(str::to_string)
@@ -324,19 +321,16 @@ fn execute(
 pub(crate) fn rebuild_workload(header: &StoreHeader) -> Result<(Workload, NeighborPair), String> {
     let workload = parse_workload(&header.workload)?;
     let dpsgd = &header.settings.dpsgd;
-    check_sizes(dpsgd.steps, header.train_size, dpsgd.mode)?;
+    check_train_size(header.train_size, dpsgd.mode)?;
     let world = workload.world(header.world_seed.0, header.train_size);
     let pair = workload.max_pair(&world, dpsgd.mode);
     Ok((workload, pair))
 }
 
-/// Reject sizes no audit can run: a step count of zero, or a training set
-/// too small to build a neighbouring pair from (bounded replaces one of at
-/// least 1 record, unbounded removes one of at least 2).
-fn check_sizes(steps: usize, train_size: usize, mode: NeighborMode) -> Result<(), String> {
-    if steps == 0 {
-        return Err("--steps must be positive".into());
-    }
+/// Reject a training set too small to build a neighbouring pair from
+/// (bounded replaces one of at least 1 record, unbounded removes one of at
+/// least 2).
+fn check_train_size(train_size: usize, mode: NeighborMode) -> Result<(), String> {
     let min = match mode {
         NeighborMode::Bounded => 1,
         NeighborMode::Unbounded => 2,
@@ -500,6 +494,14 @@ mod tests {
             (&["--sampling-q", "1.5"][..], "(0, 1)"),
             (&["--adversary", "bogus"], "gaussian|glrt|mi"),
             (&["--steps", "0"], "--steps must be positive"),
+            (
+                &["--reps", "1048577"],
+                "--reps 1048577 is above the bound 1048576",
+            ),
+            (
+                &["--steps", "1048577"],
+                "--steps 1048577 is above the bound 1048576",
+            ),
             (
                 &["--train-size", "0"],
                 "bounded neighbours need --train-size >= 1",

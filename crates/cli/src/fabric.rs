@@ -17,10 +17,7 @@ use crate::engine::{header_from_opts, parse_parallelism, rebuild_workload};
 use crate::opts::Opts;
 use dpaudit_fabric as fabric;
 use dpaudit_obs::{self as obs, JsonlSink, MetricsRegistry, MultiSink, Sink};
-use dpaudit_runtime::{
-    check_runnable, render_partial, render_report, replay_store, run_from_source, ExecPlan,
-    Parallelism, SourceRunStats, StoreHeader, TrialSink, TrialSource,
-};
+use dpaudit_runtime::{check_runnable, render_partial, render_report, replay_store, StoreHeader};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -133,20 +130,16 @@ fn cmd_serve(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// [`fabric::JobRunner`] backed by the real engine: rebuild the workload a
-/// job header describes and execute leased trials on the runtime executor.
-struct EngineRunner {
-    parallelism: Parallelism,
-}
+/// [`fabric::JobRunner`] over the bench workloads: rebuild the pair and
+/// the model a job header describes.
+struct EngineRunner;
 
 impl fabric::JobRunner for EngineRunner {
-    fn run_job(
+    fn workload(
         &mut self,
         job: &str,
         header: &StoreHeader,
-        source: &mut dyn TrialSource,
-        sink: &mut dyn TrialSink,
-    ) -> std::io::Result<SourceRunStats> {
+    ) -> std::io::Result<fabric::JobWorkload> {
         // A worker must execute the job's recorded backend, not whatever it
         // has: shards from a different accumulation order would poison the
         // coordinator's deterministic merge. Refuse a removed backend up
@@ -160,7 +153,6 @@ impl fabric::JobRunner for EngineRunner {
                 format!("cannot rebuild workload for job `{job}`: {e}"),
             )
         })?;
-        let plan = ExecPlan::for_header(header, self.parallelism);
         // The protocol choices ride in the job header's settings; surface
         // them so a worker's log shows which precision, adversary and
         // sampling scheme its shards were produced under.
@@ -171,15 +163,10 @@ impl fabric::JobRunner for EngineRunner {
             header.settings.adversary.label(),
             header.settings.sampling,
         );
-        run_from_source(
-            &pair,
-            &header.settings,
-            None,
-            |rng| workload.build_model(rng),
-            &plan,
-            source,
-            sink,
-        )
+        Ok(fabric::JobWorkload {
+            pair,
+            model: Box::new(move |rng| workload.build_model(rng)),
+        })
     }
 }
 
@@ -194,9 +181,8 @@ fn cmd_work(opts: &Opts) -> Result<String, String> {
         .str_opt("worker-id")
         .map(str::to_string)
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    let parallelism = parse_parallelism(opts)?;
-
     let mut config = fabric::WorkerConfig::new(coordinator, worker_id.clone(), shard_dir);
+    config.parallelism = parse_parallelism(opts)?;
     config.job = opts.str_opt("job").map(str::to_string);
     config.max_trials = opts.usize_or("max-trials", 8)?.max(1);
     config.poll = Duration::from_millis(opts.u64_or("poll-ms", 200)?.max(1));
@@ -228,9 +214,8 @@ fn cmd_work(opts: &Opts) -> Result<String, String> {
     };
     let _obs_guard = obs::install(sink);
 
-    let mut runner = EngineRunner { parallelism };
-    let summary =
-        fabric::run_worker(&config, &mut runner).map_err(|e| format!("worker failed: {e}"))?;
+    let summary = fabric::run_worker(&config, &mut EngineRunner)
+        .map_err(|e| format!("worker failed: {e}"))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -491,7 +476,6 @@ mod tests {
 
     #[test]
     fn worker_refuses_a_job_recorded_with_the_removed_blas_backend() {
-        use dpaudit_runtime::{FnSink, LocalSource};
         let mut header = header_from_opts(&parse(&[
             "fabric",
             "serve",
@@ -504,21 +488,9 @@ mod tests {
         ]))
         .unwrap();
         header.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Blas;
-        let mut runner = EngineRunner {
-            parallelism: Parallelism {
-                trial_threads: 1,
-                batch_threads: 1,
-            },
+        let Err(err) = fabric::JobRunner::workload(&mut EngineRunner, "blas-job", &header) else {
+            panic!("no workload may be rebuilt for a blas job");
         };
-        let mut sink = FnSink(|_| panic!("no trial may run for a blas job"));
-        let err = fabric::JobRunner::run_job(
-            &mut runner,
-            "blas-job",
-            &header,
-            &mut LocalSource::new(vec![0, 1]),
-            &mut sink,
-        )
-        .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(
             err.to_string().contains("backend `blas` was removed"),

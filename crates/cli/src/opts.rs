@@ -115,6 +115,18 @@ impl Opts {
         }
     }
 
+    /// A count option with a default: a positive integer at most `max`.
+    ///
+    /// # Errors
+    /// Unparsable, zero, or above `max` (the error names the bound).
+    pub fn count_or(&self, name: &str, default: usize, max: usize) -> Result<usize, String> {
+        match self.usize_or(name, default)? {
+            0 => Err(format!("--{name} must be positive")),
+            n if n > max => Err(format!("--{name} {n} is above the bound {max}")),
+            n => Ok(n),
+        }
+    }
+
     /// An optional u64 option with a default.
     ///
     /// # Errors

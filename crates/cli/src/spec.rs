@@ -422,8 +422,8 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         command: "trace",
         subaction: Some("export"),
-        summary: "convert an obs event trace into an external tool's format \
-                  (chrome = Perfetto / chrome://tracing trace-event JSON)",
+        summary: "convert an obs event trace into Chrome/Perfetto trace-event JSON \
+                  (chrome://tracing, ui.perfetto.dev)",
         flags: &[
             req(
                 "trace",
@@ -431,7 +431,6 @@ pub const COMMANDS: &[CommandSpec] = &[
                 "event trace written by `audit run --trace`",
             ),
             opt("out", "FILE", "output file [stdout]"),
-            opt("format", "NAME", "output format: chrome [chrome]"),
         ],
     },
     CommandSpec {

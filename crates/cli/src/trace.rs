@@ -35,10 +35,6 @@ fn cmd_export(opts: &Opts) -> Result<String, String> {
     let path = opts
         .str_opt("trace")
         .ok_or("missing required --trace FILE")?;
-    let format = opts.str_opt("format").unwrap_or("chrome");
-    if format != "chrome" {
-        return Err(format!("unknown --format `{format}` (chrome)"));
-    }
     let (_, lines) =
         read_trace_lines(Path::new(path)).map_err(|e| format!("cannot read trace: {e}"))?;
     let json = chrome_trace(&lines) + "\n";
@@ -190,23 +186,16 @@ mod tests {
         let err = run_line(&["trace", "export", "--trace", "/nonexistent/t.jsonl"]).unwrap_err();
         assert!(err.contains("cannot read trace"), "{err}");
 
-        let path = temp_path("format.jsonl");
-        write_sample_trace(&path);
+        // Chrome is the one export format; there is no flag to choose it.
         let err = run_line(&[
-            "trace",
-            "export",
-            "--trace",
-            path.to_str().unwrap(),
-            "--format",
-            "systrace",
+            "trace", "export", "--trace", "t.jsonl", "--format", "chrome",
         ])
         .unwrap_err();
-        assert!(err.contains("unknown --format"), "{err}");
+        assert!(err.contains("unknown flag --format"), "{err}");
 
         let err = run_line(&["trace", "frobnicate"]).unwrap_err();
         assert!(err.contains("sub-action"), "{err}");
         assert!(err.contains("export | merge"), "{err}");
-        fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -170,8 +170,9 @@ impl Coordinator {
     /// Returns how many trials the store already held.
     ///
     /// # Errors
-    /// `InvalidInput` for a bad id, zero reps or a header no worker can run
-    /// (before any file is created), `AlreadyExists` for a duplicate id,
+    /// `InvalidInput`, before any file is created, for a bad id or a header
+    /// no worker can run (`check_runnable`: reps or steps out of bounds, a
+    /// removed backend), `AlreadyExists` for a duplicate id,
     /// `InvalidData` (file untouched) for a store of another header or one
     /// the reading rule refuses, I/O errors from the store.
     pub fn submit_job(&self, job: &str, header: StoreHeader) -> std::io::Result<usize> {
@@ -179,12 +180,6 @@ impl Coordinator {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!("invalid job id `{job}` (want [A-Za-z0-9._-], ≤ 128 bytes)"),
-            ));
-        }
-        if header.reps == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "job has zero reps",
             ));
         }
         check_runnable(&header)?;
@@ -1050,22 +1045,41 @@ mod tests {
     #[test]
     fn a_job_no_worker_can_run_is_refused_before_any_file_exists() {
         let coordinator = test_coordinator("blas_job", Duration::from_secs(30));
-        let mut header = toy_header(2);
-        header.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Blas;
-        let submission = crate::protocol::JobSubmission {
-            job: "a-blas".into(),
-            header,
-        };
-        let response = coordinator.handle(&Request {
-            method: "POST".into(),
-            path: "/job".into(),
-            query: String::new(),
-            body: serde_json::to_value(&submission).to_string().into_bytes(),
-        });
-        assert_eq!(response.status, 400);
-        let body = String::from_utf8_lossy(&response.body).into_owned();
-        assert!(body.contains("backend `blas` was removed"), "{body}");
-        assert!(!test_store_dir("blas_job").join("a-blas.jsonl").exists());
+        let mut blas = toy_header(2);
+        blas.settings.dpsgd.backend = dpaudit_dpsgd::BackendChoice::Blas;
+        let huge_reps = toy_header(dpaudit_runtime::MAX_REPS + 1);
+        let mut huge_steps = toy_header(2);
+        huge_steps.settings.dpsgd.steps = dpaudit_runtime::MAX_STEPS + 1;
+        for (job, header, message) in [
+            ("a-blas", blas, "backend `blas` was removed"),
+            (
+                "a-reps",
+                huge_reps,
+                "reps 1048577 is outside the bound 1..=1048576",
+            ),
+            (
+                "a-steps",
+                huge_steps,
+                "steps 1048577 is outside the bound 1..=1048576",
+            ),
+        ] {
+            let submission = crate::protocol::JobSubmission {
+                job: job.into(),
+                header,
+            };
+            let response = coordinator.handle(&Request {
+                method: "POST".into(),
+                path: "/job".into(),
+                query: String::new(),
+                body: serde_json::to_value(&submission).to_string().into_bytes(),
+            });
+            assert_eq!(response.status, 400);
+            let body = String::from_utf8_lossy(&response.body).into_owned();
+            assert!(body.contains(message), "{body}");
+            assert!(!test_store_dir("blas_job")
+                .join(format!("{job}.jsonl"))
+                .exists());
+        }
         assert!(coordinator.status().jobs.is_empty());
     }
 

@@ -15,9 +15,9 @@
 //!   (served on the hardened `dpaudit-obs` listener).
 //! * [`client`] — the worker-side HTTP client with jittered-backoff
 //!   retries.
-//! * [`worker`] — the lease/execute/submit loop, implemented as a
-//!   [`dpaudit_runtime::TrialSource`]/[`dpaudit_runtime::TrialSink`] pair
-//!   so it shares the runtime executor with local sessions.
+//! * [`worker`] — the lease/execute/submit loop: one loop per job that
+//!   runs each granted lease through [`dpaudit_runtime::run_trials`], as
+//!   `AuditSession::run` runs a local audit.
 //! * [`merge`] — deterministic shard merge back into one store/report.
 //! * [`signal`] — SIGTERM/SIGINT → graceful drain, dependency-free.
 //!
@@ -44,4 +44,4 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use signal::shutdown_flag;
-pub use worker::{run_worker, JobRunner, WorkerConfig, WorkerSummary};
+pub use worker::{run_worker, JobRunner, JobWorkload, WorkerConfig, WorkerSummary};

@@ -1,20 +1,24 @@
 //! The fabric worker loop: claim trial-range leases from a coordinator,
-//! run them through the runtime executor, write every record to a local
-//! shard store, and stream it back idempotently.
+//! run each lease's trials on the runtime executor, write every record to
+//! a local shard store, and stream it back idempotently.
 //!
-//! The worker plugs into [`dpaudit_runtime::run_from_source`] through the
-//! [`TrialSource`]/[`TrialSink`] seam: a lease-backed source turns
-//! `POST /lease` polling into trial batches, and a shard-store sink turns
-//! each completed record into a durable local append plus a
-//! `POST /submit`. The actual
-//! trial execution is abstracted behind [`JobRunner`] so tests can drive
-//! the loop with a toy workload and the CLI with the full engine.
+//! [`run_worker`] picks a job, [`JobRunner`] rebuilds the workload its
+//! header describes (the one step the CLI and the tests do differently),
+//! and one loop runs the job: claim a lease, run its indices through
+//! [`dpaudit_runtime::run_trials`], and handle each completed record on
+//! the calling thread — append it to the shard, renew the lease once half
+//! its TTL has passed, count it, submit it. The lease's TTL and last
+//! touch and the coordinator-gone flag are plain locals of that loop.
 //!
 //! Robustness: every request runs under jittered-backoff retry
 //! ([`crate::client::Backoff`]); shard records are fsync'd locally
 //! *before* submission, so a crash between append and ack loses nothing —
 //! the coordinator reclaims the lease and re-grants, and any straggler
-//! re-submission dedupes by trial index. A shutdown flag (see
+//! re-submission dedupes by trial index. A failed append or a rejected
+//! submission ends the job with that error once the lease's in-flight
+//! trials finish. Once the coordinator is gone (a connection-level failure
+//! after first contact), the rest of the lease's records still go to the
+//! shard, but the worker sends no further request. A shutdown flag (see
 //! [`crate::signal`]) drains the worker gracefully: in-flight trials
 //! finish and submit, no new lease is claimed.
 //!
@@ -24,18 +28,21 @@
 //! see [`dpaudit_obs::set_context`]) so a trial's spans correlate across
 //! nodes, and — when [`WorkerConfig::metrics`] carries a registry — ships
 //! [`dpaudit_obs::MetricsSnapshot`] deltas piggybacked on the submit and
-//! renew calls it already makes. The baseline only advances on an
-//! acknowledged shipment, so a dropped request's delta rides the next one.
+//! renew calls it already makes. The baseline lives for the whole run, as
+//! the registry does, and advances only on an acknowledged shipment: a
+//! dropped request's delta rides the next one, and no job's metrics ship
+//! twice.
 
 use crate::client::{seed_from_id, Backoff, Client};
-use crate::protocol::{valid_job_id, LeaseReply, LeaseRequest, RenewRequest, SubmitHeader};
-use dpaudit_obs::{self as obs, MetricsRegistry, MetricsSnapshot, Sink as _, TraceContext};
-use dpaudit_runtime::{
-    LeaseBatch, SourceRunStats, StoreHeader, TrialRecord, TrialSink, TrialSource, TrialStore,
+use crate::protocol::{
+    valid_job_id, JobDescriptor, LeaseReply, LeaseRequest, RenewRequest, SubmitHeader,
 };
-use std::cell::{Cell, RefCell};
+use dpaudit_dpsgd::NeighborPair;
+use dpaudit_nn::Sequential;
+use dpaudit_obs::{self as obs, MetricsRegistry, MetricsSnapshot, Sink as _, TraceContext};
+use dpaudit_runtime::{run_trials, ExecPlan, Parallelism, StoreHeader, TrialRecord, TrialStore};
+use rand::rngs::StdRng;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,6 +59,9 @@ pub struct WorkerConfig {
     pub job: Option<String>,
     /// Trial indices to ask for per lease.
     pub max_trials: usize,
+    /// Workers across a lease's trials and inside each trial's clip loop;
+    /// cannot change any record.
+    pub parallelism: Parallelism,
     /// Sleep between polls while the coordinator says `Wait`.
     pub poll: Duration,
     /// Directory for local shard stores
@@ -71,7 +81,8 @@ pub struct WorkerConfig {
 }
 
 impl WorkerConfig {
-    /// Defaults: whole queue, 8 trials per lease, 200 ms poll, 5 attempts
+    /// Defaults: whole queue, 8 trials per lease, machine parallelism
+    /// across trials with a sequential clip loop, 200 ms poll, 5 attempts
     /// with a 100 ms backoff base, and a fresh (never-set) shutdown flag.
     pub fn new(
         coordinator: impl Into<String>,
@@ -83,6 +94,7 @@ impl WorkerConfig {
             worker_id: worker_id.into(),
             job: None,
             max_trials: 8,
+            parallelism: Parallelism::trials(0),
             poll: Duration::from_millis(200),
             shard_dir: shard_dir.into(),
             attempts: 5,
@@ -101,22 +113,22 @@ impl WorkerConfig {
     }
 }
 
-/// How a worker executes one job's leased trials. Implementations call
-/// [`dpaudit_runtime::run_from_source`] with a workload rebuilt from the
-/// job header; the source and sink passed in are the worker's lease and
-/// shard plumbing.
+/// The workload a job header describes: what a [`JobRunner`] rebuilds.
+pub struct JobWorkload {
+    /// The neighbouring datasets D and D′.
+    pub pair: NeighborPair,
+    /// Builds a freshly initialised model from a trial's RNG.
+    pub model: Box<dyn Fn(&mut StdRng) -> Sequential + Sync>,
+}
+
+/// How a worker rebuilds the workload of a job it is about to run: the
+/// CLI from the bench workloads, tests from a toy one.
 pub trait JobRunner {
-    /// Run every batch `source` yields, submitting each record to `sink`.
+    /// The pair and the model `header` describes.
     ///
     /// # Errors
-    /// Workload construction or execution failures.
-    fn run_job(
-        &mut self,
-        job: &str,
-        header: &StoreHeader,
-        source: &mut dyn TrialSource,
-        sink: &mut dyn TrialSink,
-    ) -> std::io::Result<SourceRunStats>;
+    /// A header this runner cannot run, or a failed rebuild.
+    fn workload(&mut self, job: &str, header: &StoreHeader) -> std::io::Result<JobWorkload>;
 }
 
 /// What a worker did before exiting.
@@ -152,203 +164,193 @@ fn is_connection_error(err: &std::io::Error) -> bool {
     )
 }
 
-/// Lease bookkeeping shared between a job's source and sink.
-struct ActiveLease {
-    ttl: Duration,
-    last_touch: Instant,
+/// Make one request carrying the registry's delta since the acknowledged
+/// `shipped` baseline (`None` without a registry or when nothing changed),
+/// and advance the baseline only once the request succeeds.
+fn with_shipment<T>(
+    config: &WorkerConfig,
+    shipped: &mut MetricsSnapshot,
+    request: impl FnOnce(Option<MetricsSnapshot>) -> std::io::Result<T>,
+) -> std::io::Result<T> {
+    let (snapshot, delta) = config
+        .metrics
+        .as_ref()
+        .map(|registry| {
+            let snapshot = registry.snapshot();
+            let delta = snapshot.delta_since(shipped);
+            (snapshot, delta)
+        })
+        .filter(|(_, delta)| !delta.is_empty())
+        .unzip();
+    let reply = request(delta)?;
+    if let Some(snapshot) = snapshot {
+        *shipped = snapshot;
+    }
+    Ok(reply)
 }
 
-/// [`TrialSource`] over `POST /lease`: polls through `Wait`, stops on
-/// `Done`, shutdown, or the coordinator going away (sets `gone`).
-struct LeaseSource<'a> {
-    client: &'a Client,
-    config: &'a WorkerConfig,
-    job: String,
-    shared: Rc<RefCell<Option<ActiveLease>>>,
-    gone: Rc<Cell<bool>>,
-    backoff: Backoff,
-    leases: u64,
-}
-
-impl TrialSource for LeaseSource<'_> {
-    fn next_batch(&mut self) -> std::io::Result<Option<LeaseBatch>> {
-        loop {
-            if self.config.shutdown.load(Ordering::Relaxed) {
-                return Ok(None);
-            }
-            let request = LeaseRequest {
-                worker: self.config.worker_id.clone(),
-                job: Some(self.job.clone()),
-                max_trials: self.config.max_trials,
-            };
-            // This source only exists after `run_worker` has fetched the
-            // job from the coordinator, so a connection-level failure now
-            // means it went away (e.g. `--exit-when-done` beat our poll):
-            // end the batch stream instead of erroring.
-            let reply = match Client::with_retry(&mut self.backoff, || self.client.claim(&request))
-            {
-                Ok(reply) => reply,
-                Err(err) if is_connection_error(&err) => {
-                    self.gone.set(true);
-                    return Ok(None);
-                }
-                Err(err) => return Err(err),
-            };
-            match reply {
-                LeaseReply::Granted {
-                    lease,
-                    indices,
-                    ttl_ms,
-                    ..
-                } => {
-                    *self.shared.borrow_mut() = Some(ActiveLease {
-                        ttl: Duration::from_millis(ttl_ms.max(1)),
-                        last_touch: Instant::now(),
-                    });
-                    self.leases += 1;
-                    obs::set_lease(Some(lease));
-                    return Ok(Some(LeaseBatch { lease, indices }));
-                }
-                LeaseReply::Wait => sleep_interruptible(self.config.poll, &self.config.shutdown),
-                LeaseReply::Done => return Ok(None),
-            }
-        }
-    }
-
-    fn complete(&mut self, _lease: u64) -> std::io::Result<()> {
-        *self.shared.borrow_mut() = None;
-        obs::set_lease(None);
-        Ok(())
-    }
-}
-
-/// [`TrialSink`] appending each record to a local fsync'd shard store and
-/// then submitting it; keeps the lease alive by renewing at half-TTL.
-struct ShardSink<'a> {
-    client: &'a Client,
-    config: &'a WorkerConfig,
-    job: String,
-    header: StoreHeader,
-    shared: Rc<RefCell<Option<ActiveLease>>>,
-    gone: Rc<Cell<bool>>,
-    store: Option<TrialStore>,
-    backoff: Backoff,
-    /// Registry state as of the last *acknowledged* shipment; the next
-    /// shipment is `snapshot.delta_since(&shipped)`.
-    shipped: MetricsSnapshot,
-}
-
-impl ShardSink<'_> {
-    /// The shard file is opened lazily on the first record, so a worker
-    /// that never wins a lease leaves no empty shard behind. A shard a
-    /// previous run left is continued; one written for another job header
-    /// is refused.
-    fn store(&mut self) -> std::io::Result<&mut TrialStore> {
-        if self.store.is_none() {
-            std::fs::create_dir_all(&self.config.shard_dir)?;
-            let path = self
-                .config
-                .shard_dir
-                .join(format!("{}.{}.jsonl", self.job, self.config.worker_id));
-            self.store = Some(TrialStore::open(&path, &self.header)?.0);
-        }
-        Ok(self.store.as_mut().expect("just opened"))
-    }
-
-    /// The full registry state and the delta not yet acknowledged by the
-    /// coordinator, when a registry is attached and the delta is non-empty.
-    fn pending_shipment(&self) -> Option<(MetricsSnapshot, MetricsSnapshot)> {
-        let registry = self.config.metrics.as_ref()?;
-        let snapshot = registry.snapshot();
-        let delta = snapshot.delta_since(&self.shipped);
-        (!delta.is_empty()).then_some((snapshot, delta))
-    }
-
-    /// Explicit heartbeat once more than half the TTL has passed since the
-    /// last grant/renewal/submission — long trials outlive their lease
-    /// otherwise. A failed renewal is not fatal: the submission that
-    /// follows is idempotent either way.
-    fn maybe_renew(&mut self, lease: u64) {
-        let due = {
-            let shared = self.shared.borrow();
-            let Some(active) = shared.as_ref() else {
-                return;
-            };
-            active.last_touch.elapsed() > active.ttl / 2
-        };
-        if due {
-            let shipment = self.pending_shipment();
-            let request = RenewRequest {
+/// Claim `job`'s next lease, polling through `Wait`: its id, indices and
+/// TTL, or `None` once the job is done, on shutdown, or when the
+/// coordinator has gone (`gone` set).
+fn claim(
+    config: &WorkerConfig,
+    client: &Client,
+    job: &str,
+    backoff: &mut Backoff,
+    gone: &mut bool,
+) -> std::io::Result<Option<(u64, Vec<usize>, Duration)>> {
+    let request = LeaseRequest {
+        worker: config.worker_id.clone(),
+        job: Some(job.to_string()),
+        max_trials: config.max_trials,
+    };
+    while !config.shutdown.load(Ordering::Relaxed) {
+        // `run_worker` has already fetched the job from the coordinator, so
+        // a connection-level failure now means it went away (e.g.
+        // `--exit-when-done` beat our poll): end the job, not an error.
+        match Client::with_retry(backoff, || client.claim(&request)) {
+            Ok(LeaseReply::Granted {
                 lease,
-                worker: self.config.worker_id.clone(),
-                metrics: shipment.as_ref().map(|(_, delta)| delta.clone()),
-            };
-            let reply = Client::with_retry(&mut self.backoff, || self.client.renew(&request));
-            if reply.is_ok() {
-                if let Some((snapshot, _)) = shipment {
-                    self.shipped = snapshot;
-                }
-            }
-            let renewed = reply.map(|reply| reply.renewed).unwrap_or(false);
-            let mut shared = self.shared.borrow_mut();
-            if let Some(active) = shared.as_mut() {
-                if renewed {
-                    active.last_touch = Instant::now();
-                }
-            }
-        }
-    }
-}
-
-impl TrialSink for ShardSink<'_> {
-    fn submit(&mut self, lease: u64, record: TrialRecord) -> std::io::Result<()> {
-        // Durable-local-first: the shard line survives any submit failure.
-        self.store()?.append(&record)?;
-        self.maybe_renew(lease);
-        // Count into the worker's own registry (not global dispatch), so
-        // the shipped snapshot carries it even with no global sink
-        // installed — and several in-process workers stay separable.
-        if let Some(registry) = &self.config.metrics {
-            registry.record(&obs::Event::Counter {
-                name: obs::names::FABRIC_WORKER_TRIALS.into(),
-                delta: 1,
-            });
-        }
-        let shipment = self.pending_shipment();
-        let submit = SubmitHeader {
-            job: self.job.clone(),
-            lease: Some(lease),
-            worker: self.config.worker_id.clone(),
-            metrics: shipment.as_ref().map(|(_, delta)| delta.clone()),
-        };
-        // A reclaimed straggler can outlive the coordinator itself: the
-        // record is already durably in the local shard (merge still sees
-        // it), so a vanished coordinator downgrades this submit to a no-op
-        // rather than an error.
-        let ack = match Client::with_retry(&mut self.backoff, || {
-            self.client.submit(&submit, std::slice::from_ref(&record))
-        }) {
-            Ok(ack) => ack,
+                indices,
+                ttl_ms,
+                ..
+            }) => return Ok(Some((lease, indices, Duration::from_millis(ttl_ms.max(1))))),
+            Ok(LeaseReply::Wait) => sleep_interruptible(config.poll, &config.shutdown),
+            Ok(LeaseReply::Done) => break,
             Err(err) if is_connection_error(&err) => {
-                self.gone.set(true);
-                return Ok(());
+                *gone = true;
+                break;
             }
             Err(err) => return Err(err),
-        };
-        // The coordinator acknowledged the shipment: advance the baseline.
-        if let Some((snapshot, _)) = shipment {
-            self.shipped = snapshot;
         }
-        // `accepted: 0, duplicates: 1` is the reclaimed-straggler case:
-        // someone else already ran this index to the same bytes. Fine.
-        let mut shared = self.shared.borrow_mut();
-        if let Some(active) = shared.as_mut() {
-            active.last_touch = Instant::now();
-        }
-        drop(shared);
-        let _ = ack;
-        Ok(())
     }
+    Ok(None)
+}
+
+/// Run one job: rebuild its workload, then claim leases until the job is
+/// done, running each lease's trials and handling every record in turn —
+/// append to the shard, renew at half-TTL, count, submit. Adds to
+/// `summary`; `shipped` is the run's acknowledged metrics baseline.
+fn run_job(
+    config: &WorkerConfig,
+    client: &Client,
+    descriptor: &JobDescriptor,
+    runner: &mut dyn JobRunner,
+    shipped: &mut MetricsSnapshot,
+    summary: &mut WorkerSummary,
+) -> std::io::Result<()> {
+    let (job, header) = (&descriptor.job, &descriptor.header);
+    let workload = runner.workload(job, header)?;
+    let plan = ExecPlan::for_header(header, config.parallelism);
+    let mut backoff = config.backoff();
+    let mut shard: Option<TrialStore> = None;
+    while !summary.coordinator_gone {
+        let Some((lease, indices, ttl)) = claim(
+            config,
+            client,
+            job,
+            &mut backoff,
+            &mut summary.coordinator_gone,
+        )?
+        else {
+            break;
+        };
+        summary.leases += 1;
+        obs::set_lease(Some(lease));
+        let mut last_touch = Instant::now();
+        let mut handle = |record: TrialRecord| -> std::io::Result<()> {
+            // Durable-local-first: the shard line survives any submit
+            // failure. The shard opens on the first record, so a worker
+            // that never wins a lease leaves no empty shard behind; a shard
+            // a previous run left is continued, one of another header
+            // refused.
+            if shard.is_none() {
+                std::fs::create_dir_all(&config.shard_dir)?;
+                let path = config
+                    .shard_dir
+                    .join(format!("{job}.{}.jsonl", config.worker_id));
+                shard = Some(TrialStore::open(&path, header)?.0);
+            }
+            shard.as_mut().expect("just opened").append(&record)?;
+            // Once the coordinator is gone, the shard alone keeps the
+            // record for `fabric merge`; no request could land.
+            if summary.coordinator_gone {
+                return Ok(());
+            }
+            // Explicit heartbeat: long trials outlive their lease
+            // otherwise. A failed renewal is not fatal: the submission
+            // that follows is idempotent either way.
+            if last_touch.elapsed() > ttl / 2 {
+                let renewed = with_shipment(config, shipped, |metrics| {
+                    let request = RenewRequest {
+                        lease,
+                        worker: config.worker_id.clone(),
+                        metrics,
+                    };
+                    Client::with_retry(&mut backoff, || client.renew(&request))
+                });
+                if renewed.is_ok_and(|reply| reply.renewed) {
+                    last_touch = Instant::now();
+                }
+            }
+            // Count into the worker's own registry (not global dispatch),
+            // so the shipped snapshot carries it even with no global sink
+            // installed — and several in-process workers stay separable.
+            if let Some(registry) = &config.metrics {
+                registry.record(&obs::Event::Counter {
+                    name: obs::names::FABRIC_WORKER_TRIALS.into(),
+                    delta: 1,
+                });
+            }
+            let submitted = with_shipment(config, shipped, |metrics| {
+                let submit = SubmitHeader {
+                    job: job.clone(),
+                    lease: Some(lease),
+                    worker: config.worker_id.clone(),
+                    metrics,
+                };
+                Client::with_retry(&mut backoff, || {
+                    client.submit(&submit, std::slice::from_ref(&record))
+                })
+            });
+            match submitted {
+                // `accepted: 0, duplicates: 1` is the reclaimed-straggler
+                // case: someone else already ran this index to the same
+                // bytes. Fine.
+                Ok(_) => last_touch = Instant::now(),
+                // A reclaimed straggler can outlive the coordinator itself:
+                // the record is already durably in the local shard, and
+                // merge still sees it.
+                Err(err) if is_connection_error(&err) => summary.coordinator_gone = true,
+                Err(err) => return Err(err),
+            }
+            Ok(())
+        };
+        // The first error ends the job once the lease's in-flight trials,
+        // which cannot be cancelled, finish; their records are dropped.
+        let mut failed = None;
+        run_trials(
+            &workload.pair,
+            &header.settings,
+            None,
+            &workload.model,
+            &plan,
+            &indices,
+            |record| {
+                if failed.is_none() {
+                    match handle(record) {
+                        Ok(()) => summary.executed += 1,
+                        Err(err) => failed = Some(err),
+                    }
+                }
+            },
+        );
+        if let Some(err) = failed {
+            return Err(err);
+        }
+        obs::set_lease(None);
+    }
+    Ok(())
 }
 
 /// Sleep up to `total`, waking early when the shutdown flag is set.
@@ -361,8 +363,9 @@ fn sleep_interruptible(total: Duration, shutdown: &AtomicBool) {
 }
 
 /// Run the worker loop: pick the first unfinished job matching the
-/// configured filter, lease and execute its trials through `runner`, and
-/// move on until the queue is drained (or the shutdown flag stops it).
+/// configured filter, rebuild its workload through `runner`, lease and
+/// execute its trials, and move on until the queue is drained (or the
+/// shutdown flag stops it).
 ///
 /// # Errors
 /// `InvalidInput` for a non-filename-safe worker id, `NotFound` when the
@@ -385,6 +388,9 @@ pub fn run_worker(
     let mut backoff = config.backoff();
     let mut summary = WorkerSummary::default();
     let mut contacted = false;
+    // Registry state as of the last acknowledged shipment. The registry
+    // counts across jobs, so the baseline does too.
+    let mut shipped = MetricsSnapshot::default();
     // Worker-level correlation context for the whole loop, so even lines
     // recorded between jobs (poll RTT spans, backoff waits) carry the
     // worker id; cleared on every exit path by the guard.
@@ -439,8 +445,8 @@ pub fn run_worker(
         let job_id = next.job.clone();
         let descriptor = Client::with_retry(&mut backoff, || client.job(&job_id))?;
         // Ambient correlation context: every trace line this job's trials
-        // emit carries the (job, worker) pair; the lease id is stamped on
-        // grant and cleared on completion by the source.
+        // emit carries the (job, worker) pair; the job's loop stamps the
+        // lease id on grant and clears it once the lease's records are in.
         obs::set_context(TraceContext {
             job: Some(job_id.clone()),
             worker: Some(config.worker_id.clone()),
@@ -456,39 +462,21 @@ pub fn run_worker(
                 value: descriptor.header.target_epsilon,
             });
         }
-        let shared = Rc::new(RefCell::new(None));
-        let gone = Rc::new(Cell::new(false));
-        let mut source = LeaseSource {
-            client: &client,
+        let result = run_job(
             config,
-            job: job_id.clone(),
-            shared: shared.clone(),
-            gone: gone.clone(),
-            backoff: config.backoff(),
-            leases: 0,
-        };
-        let mut sink = ShardSink {
-            client: &client,
-            config,
-            job: job_id.clone(),
-            header: descriptor.header.clone(),
-            shared,
-            gone: gone.clone(),
-            store: None,
-            backoff: config.backoff(),
-            shipped: MetricsSnapshot::default(),
-        };
-        let stats = runner.run_job(&job_id, &descriptor.header, &mut source, &mut sink);
+            &client,
+            &descriptor,
+            runner,
+            &mut shipped,
+            &mut summary,
+        );
         // Back to the worker-level context between jobs.
         obs::set_context(worker_context());
-        let stats = stats?;
-        summary.executed += stats.executed;
-        summary.leases += source.leases;
+        result?;
         if !summary.jobs.contains(&job_id) {
             summary.jobs.push(job_id);
         }
-        if gone.get() {
-            summary.coordinator_gone = true;
+        if summary.coordinator_gone {
             break;
         }
     }

@@ -5,11 +5,11 @@
 use dpaudit_core::{rho_beta, AuditReport, RecordDetail};
 use dpaudit_fabric::{
     merge_shards, run_worker, serve, Client, Coordinator, CoordinatorConfig, JobRunner,
-    SubmitHeader, WorkerConfig,
+    JobWorkload, SubmitHeader, WorkerConfig,
 };
 use dpaudit_runtime::{
-    read_store, render_report, replay_store, run_from_source, testkit, AuditSession, ExecPlan,
-    Parallelism, Seed, SourceRunStats, StoreHeader, TrialSink, TrialSource, SCHEMA_VERSION,
+    execute_trial, read_store, render_report, replay_store, testkit, AuditSession, ExecPlan,
+    Parallelism, Seed, StoreHeader, TrialRecord, SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,31 +45,16 @@ fn toy_header(label: &str, reps: usize) -> StoreHeader {
     }
 }
 
-/// Runs leased trials on the toy workload — the test stand-in for the
+/// Rebuilds the toy workload for every job — the test stand-in for the
 /// CLI's engine-backed runner.
-struct ToyRunner {
-    threads: usize,
-}
+struct ToyRunner;
 
 impl JobRunner for ToyRunner {
-    fn run_job(
-        &mut self,
-        _job: &str,
-        header: &StoreHeader,
-        source: &mut dyn TrialSource,
-        sink: &mut dyn TrialSink,
-    ) -> std::io::Result<SourceRunStats> {
-        let pair = testkit::toy_pair();
-        let plan = ExecPlan::for_header(header, Parallelism::trials(self.threads));
-        run_from_source(
-            &pair,
-            &header.settings,
-            None,
-            testkit::toy_model,
-            &plan,
-            source,
-            sink,
-        )
+    fn workload(&mut self, _job: &str, _header: &StoreHeader) -> std::io::Result<JobWorkload> {
+        Ok(JobWorkload {
+            pair: testkit::toy_pair(),
+            model: Box::new(testkit::toy_model),
+        })
     }
 }
 
@@ -134,6 +119,7 @@ fn shard_paths(dir: &Path) -> Vec<PathBuf> {
 fn worker_config(addr: &str, id: &str, shard_dir: &Path) -> WorkerConfig {
     let mut config = WorkerConfig::new(addr, id, shard_dir);
     config.max_trials = 3;
+    config.parallelism = Parallelism::trials(1);
     config.poll = Duration::from_millis(50);
     config.backoff_base = Duration::from_millis(20);
     config
@@ -156,8 +142,9 @@ fn two_workers_produce_a_bit_identical_merged_report() {
     let handles: Vec<_> = ["w1", "w2"]
         .into_iter()
         .map(|id| {
-            let config = worker_config(&addr, id, &shard_dir);
-            std::thread::spawn(move || run_worker(&config, &mut ToyRunner { threads: 2 }))
+            let mut config = worker_config(&addr, id, &shard_dir);
+            config.parallelism = Parallelism::trials(2);
+            std::thread::spawn(move || run_worker(&config, &mut ToyRunner))
         })
         .collect();
     let summaries: Vec<_> = handles
@@ -234,8 +221,9 @@ fn killed_worker_lease_is_reclaimed_and_the_result_is_unchanged() {
 
     // The surviving worker picks up the leftovers, waits out the dead
     // lease, and finishes the reclaimed indices too.
-    let config = worker_config(&addr, "survivor", &shard_dir);
-    let summary = run_worker(&config, &mut ToyRunner { threads: 2 }).unwrap();
+    let mut config = worker_config(&addr, "survivor", &shard_dir);
+    config.parallelism = Parallelism::trials(2);
+    let summary = run_worker(&config, &mut ToyRunner).unwrap();
     assert_eq!(summary.executed, 6);
 
     let status = client.status().unwrap();
@@ -303,7 +291,7 @@ fn shipped_worker_metrics_aggregate_to_the_merged_trial_count() {
             let mut config = worker_config(&addr, id, &shard_dir);
             config.job = Some(job.into());
             config.metrics = Some(registry.clone());
-            std::thread::spawn(move || run_worker(&config, &mut ToyRunner { threads: 1 }))
+            std::thread::spawn(move || run_worker(&config, &mut ToyRunner))
         })
         .collect();
     for handle in handles {
@@ -374,8 +362,10 @@ fn one_worker_drains_a_multi_job_queue_in_order() {
     client.submit_job("job-a", &header_a).unwrap();
     client.submit_job("job-b", &header_b).unwrap();
 
-    let config = worker_config(&addr, "solo", &shard_dir);
-    let summary = run_worker(&config, &mut ToyRunner { threads: 1 }).unwrap();
+    let registry = Arc::new(dpaudit_obs::MetricsRegistry::new());
+    let mut config = worker_config(&addr, "solo", &shard_dir);
+    config.metrics = Some(registry.clone());
+    let summary = run_worker(&config, &mut ToyRunner).unwrap();
     server.shutdown();
 
     assert_eq!(summary.executed, 7);
@@ -385,6 +375,89 @@ fn one_worker_drains_a_multi_job_queue_in_order() {
         let replay = replay_store(&coordinator.store_path(job).unwrap()).unwrap();
         assert_bit_identical(&replay.report.unwrap(), &single_node_report(header));
     }
+
+    // One shipped-metrics baseline across both jobs: the coordinator holds
+    // every trial the registry counted exactly once.
+    let trials = |snapshot: &dpaudit_obs::MetricsSnapshot| {
+        snapshot.counters[dpaudit_obs::names::FABRIC_WORKER_TRIALS]
+    };
+    let shipped = trials(&coordinator.worker_snapshots()["solo"]);
+    assert_eq!(shipped, trials(&registry.snapshot()));
+    assert_eq!(shipped, 7);
+    assert_eq!(coordinator.status().trials_submitted, 7);
+}
+
+/// Rebuilds the toy workload, but its first model build (inside the first
+/// leased trial) submits `conflict` — trial 0 with other bytes — as a rogue
+/// worker, so the real worker's own submission of trial 0 collides.
+struct ConflictRunner {
+    client: Client,
+    conflict: TrialRecord,
+}
+
+impl JobRunner for ConflictRunner {
+    fn workload(&mut self, job: &str, _header: &StoreHeader) -> std::io::Result<JobWorkload> {
+        let (client, conflict) = (self.client.clone(), self.conflict.clone());
+        let rogue = SubmitHeader {
+            job: job.into(),
+            lease: None,
+            worker: "rogue".into(),
+            metrics: None,
+        };
+        let submitted = std::sync::Once::new();
+        Ok(JobWorkload {
+            pair: testkit::toy_pair(),
+            model: Box::new(move |rng| {
+                submitted.call_once(|| {
+                    client
+                        .submit(&rogue, std::slice::from_ref(&conflict))
+                        .unwrap();
+                });
+                testkit::toy_model(rng)
+            }),
+        })
+    }
+}
+
+#[test]
+fn a_rejected_submission_ends_the_job_after_the_shard_append() {
+    let store_dir = unique_dir("conflict_store");
+    let shard_dir = unique_dir("conflict_shards");
+    let coordinator = Arc::new(Coordinator::new(CoordinatorConfig::new(&store_dir)));
+    let server = serve(coordinator.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.addr().to_string();
+    let header = toy_header("conflict", 3);
+    let client = Client::new(addr.clone());
+    client.submit_job("job-a", &header).unwrap();
+
+    let plan = ExecPlan::for_header(&header, Parallelism::trials(1));
+    let own = execute_trial(
+        &testkit::toy_pair(),
+        &header.settings,
+        None,
+        testkit::toy_model,
+        &plan,
+        0,
+    );
+    let mut conflict = own.clone();
+    conflict.eps_ls += 1.0;
+    let mut runner = ConflictRunner {
+        client: client.clone(),
+        conflict: conflict.clone(),
+    };
+    let config = worker_config(&addr, "w1", &shard_dir);
+    let err = run_worker(&config, &mut runner).unwrap_err();
+    server.shutdown();
+
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    assert!(err.to_string().contains("determinism conflict"), "{err}");
+    // Append comes before submit: the shard holds the worker's own trial 0
+    // and, the job having ended there, nothing else.
+    let shard = read_store(&shard_dir.join("job-a.w1.jsonl")).unwrap();
+    assert_eq!(shard.records, vec![own]);
+    // The coordinator kept the rogue record and received no other.
+    let stored = read_store(&coordinator.store_path("job-a").unwrap()).unwrap();
+    assert_eq!(stored.records, vec![conflict]);
 }
 
 #[test]
@@ -399,7 +472,7 @@ fn preset_shutdown_flag_drains_without_claiming_work() {
 
     let mut config = worker_config(&addr, "drainer", &shard_dir);
     config.shutdown = Arc::new(AtomicBool::new(true));
-    let summary = run_worker(&config, &mut ToyRunner { threads: 1 }).unwrap();
+    let summary = run_worker(&config, &mut ToyRunner).unwrap();
 
     assert!(summary.drained);
     assert_eq!(summary.executed, 0);

@@ -7,10 +7,9 @@
 //!   generic [`MetricsServer::serve_with`] entry point also carries the
 //!   fabric coordinator's line/JSON protocol.
 //! * [`chrome_trace`] — converts a JSONL trace into Chrome trace-event JSON
-//!   loadable in Perfetto / `chrome://tracing`
-//!   (`dpaudit trace export --format chrome`); [`chrome_trace_merged`]
-//!   zips several workers' traces into one export with a process track per
-//!   worker (`dpaudit trace merge`).
+//!   loadable in Perfetto / `chrome://tracing` (`dpaudit trace export`);
+//!   [`chrome_trace_merged`] zips several workers' traces into one export
+//!   with a process track per worker (`dpaudit trace merge`).
 //! * [`render_prometheus_fleet`] — one exposition over many workers'
 //!   shipped snapshots, each sample labelled `worker="<id>"` (the fabric
 //!   coordinator's `/metrics`).

@@ -11,8 +11,8 @@
 //! Timestamps are nanoseconds of monotonic time since the sink was
 //! created; thread ids are small per-process ordinals (0 = the first
 //! thread to record). Both exist purely so the trace can be replayed onto
-//! a timeline (`dpaudit trace export --format chrome`); deterministic
-//! folds ignore them.
+//! a timeline (`dpaudit trace export`); deterministic folds ignore
+//! them.
 //!
 //! Like the trial store, [`read_events`] / [`read_trace_lines`] tolerate a
 //! truncated *final* line (a crash mid-append) by dropping it; an

@@ -7,15 +7,12 @@
 //! This crate turns those batches from an in-memory `map` into a durable,
 //! restartable computation:
 //!
-//! * [`executor`] — schedules trials across a rayon worker pool and
-//!   streams each completed trial back to the coordinator. Every trial's
-//!   randomness derives only from `trial_seed(master_seed, idx)`, so
-//!   results are bit-identical at any worker count.
-//! * [`source`] — the `TrialSource`/`TrialSink` seam between "which
-//!   indices to run" and "where records go". Local sessions use the
-//!   in-memory pair; `dpaudit-fabric` implements the same traits over a
-//!   coordinator's trial-range leases, so distributed execution shares
-//!   this crate's driver instead of forking it.
+//! * [`executor`] — [`run_trials`], the one function that runs trials: it
+//!   schedules them across a rayon worker pool and streams each completed
+//!   trial back to the calling thread. [`AuditSession::run`] and the
+//!   `dpaudit-fabric` worker both call it. Every trial's randomness
+//!   derives only from `trial_seed(master_seed, idx)`, so results are
+//!   bit-identical at any worker count.
 //! * [`store`] — an append-only JSONL trial store: one fsync'd line per
 //!   trial under a header carrying the full batch description. A crash can
 //!   lose at most the line being written; replay tolerates exactly that.
@@ -35,7 +32,6 @@ pub mod executor;
 pub mod progress;
 pub mod report;
 pub mod session;
-pub mod source;
 pub mod store;
 #[doc(hidden)]
 pub mod testkit;
@@ -45,9 +41,7 @@ pub use executor::{execute_trial, run_trials, ExecPlan, Parallelism};
 pub use progress::{Progress, ProgressMeter};
 pub use report::{render_partial, render_report, replay_store, StoreReport};
 pub use session::{check_runnable, AuditSession, RunOutcome};
-pub use source::{
-    run_from_source, FnSink, LeaseBatch, LocalSource, SourceRunStats, TrialSink, TrialSource,
-};
 pub use store::{
-    read_store, Seed, StoreContents, StoreHeader, TrialRecord, TrialStore, SCHEMA_VERSION,
+    read_store, Seed, StoreContents, StoreHeader, TrialRecord, TrialStore, MAX_REPS, MAX_STEPS,
+    SCHEMA_VERSION,
 };

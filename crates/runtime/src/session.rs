@@ -18,10 +18,9 @@
 //! count.
 
 use crate::aggregate::{StreamingAggregates, TrialOutcome};
-use crate::executor::{ExecPlan, Parallelism};
+use crate::executor::{run_trials, ExecPlan, Parallelism};
 use crate::progress::{Progress, ProgressMeter};
-use crate::source::{run_from_source, FnSink, LocalSource};
-use crate::store::{read_store, StoreHeader, TrialRecord, TrialStore};
+use crate::store::{read_store, StoreHeader, TrialRecord, TrialStore, MAX_REPS, MAX_STEPS};
 use dpaudit_core::{AuditReport, MaxBeliefEstimator};
 use dpaudit_datasets::Dataset;
 use dpaudit_dpsgd::NeighborPair;
@@ -51,9 +50,11 @@ pub struct AuditSession {
     missing: Vec<usize>,
 }
 
-/// The one runnable-header check: reject a header whose recorded compute
-/// backend this binary cannot run, *before* any trial runs or any store
-/// byte is written. Store readers never call it, so old stores still report.
+/// The one runnable-header check: reject a header whose `reps` or `steps`
+/// is zero or above its bound ([`MAX_REPS`], [`MAX_STEPS`]), or whose
+/// recorded compute backend this binary cannot run, *before* any trial runs
+/// or any store byte is written. Store readers never call it, so old stores
+/// still report.
 ///
 /// Trial records are a pure function of the seeds **and** the backend's
 /// floating-point accumulation order, so running a `blas` store's missing
@@ -62,8 +63,17 @@ pub struct AuditSession {
 /// can tell a removed backend from a corrupt store.
 ///
 /// # Errors
-/// `InvalidInput` naming the removed backend.
+/// `InvalidInput` naming the field and its bound, or the removed backend.
 pub fn check_runnable(header: &StoreHeader) -> std::io::Result<()> {
+    let steps = header.settings.dpsgd.steps;
+    for (field, value, max) in [("reps", header.reps, MAX_REPS), ("steps", steps, MAX_STEPS)] {
+        if !(1..=max).contains(&value) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("header {field} {value} is outside the bound 1..={max}"),
+            ));
+        }
+    }
     header.settings.dpsgd.backend.resolve().map_err(|e| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -199,35 +209,31 @@ impl AuditSession {
         let mut meter = ProgressMeter::new(missing.len(), replayed);
         let mut io_error: Option<std::io::Error> = None;
         let store = &mut self.store;
-        // The local source/sink pair: one batch of every missing index,
-        // each record folded on the coordinating thread. A store-append
-        // failure is captured but does not stop the batch (in-flight
-        // trials still aggregate), matching the pre-seam behaviour.
-        let mut source = LocalSource::new(missing.clone());
-        let mut record_sink = FnSink(|record: crate::store::TrialRecord| {
-            if io_error.is_none() {
-                if let Some(store) = store.as_mut() {
-                    if let Err(e) = store.append(&record) {
-                        io_error = Some(e);
-                    }
-                }
-            }
-            aggregates.push(record.idx, TrialOutcome::from(&record));
-            if let Some(out) = sink.as_deref_mut() {
-                out.push(record);
-            }
-            on_progress(meter.tick());
-            Ok(())
-        });
-        run_from_source(
+        // Each record is folded on the coordinating thread. A store-append
+        // failure is captured but does not stop the batch: in-flight
+        // trials still aggregate.
+        run_trials(
             pair,
             &header.settings,
             test_set,
             model_builder,
             &plan,
-            &mut source,
-            &mut record_sink,
-        )?;
+            missing,
+            |record| {
+                if io_error.is_none() {
+                    if let Some(store) = store.as_mut() {
+                        if let Err(e) = store.append(&record) {
+                            io_error = Some(e);
+                        }
+                    }
+                }
+                aggregates.push(record.idx, TrialOutcome::from(&record));
+                if let Some(out) = sink.as_deref_mut() {
+                    out.push(record);
+                }
+                on_progress(meter.tick());
+            },
+        );
         if let Some(e) = io_error {
             return Err(e);
         }
@@ -358,6 +364,33 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("removed"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_bound_reps_or_steps_are_not_runnable() {
+        let mut header = toy_header(MAX_REPS, RecordDetail::Summary);
+        header.settings.dpsgd.steps = MAX_STEPS;
+        check_runnable(&header).expect("the bounds themselves are runnable");
+        for (reps, steps, field) in [
+            (
+                MAX_REPS + 1,
+                3,
+                "reps 1048577 is outside the bound 1..=1048576",
+            ),
+            (0, 3, "reps 0 is outside"),
+            (
+                2,
+                MAX_STEPS + 1,
+                "steps 1048577 is outside the bound 1..=1048576",
+            ),
+            (2, 0, "steps 0 is outside"),
+        ] {
+            header.reps = reps;
+            header.settings.dpsgd.steps = steps;
+            let err = check_runnable(&header).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   indexes them, and [`StoreContents::index`] is the only code that
 //!   decides which record is trial `i`: one record per index; a line
 //!   repeating its index's kept record byte for byte is dropped and
-//!   counted; a different line for a kept index, or an index outside
-//!   `0..reps`, is an `InvalidData` error.
+//!   counted; a different line for a kept index, an index outside
+//!   `0..reps`, or a header whose `reps` is zero or above [`MAX_REPS`], is
+//!   an `InvalidData` error.
 //! * Every append is flushed and fsync'd before `append` returns, so a
 //!   record is durable once the call completes.
 //! * Seeds are full-width `u64`s. The vendored JSON model holds numbers as
@@ -42,6 +43,16 @@ use std::path::Path;
 /// Version stamp written into every store header. Bump when the line format
 /// changes incompatibly; [`read_store`] refuses mismatched versions.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// The most trials a store header may hold: 2^20, over 1000× the paper's
+/// 250–1000 repetitions. The reading rule refuses a header above it, and
+/// [`crate::check_runnable`] refuses to run one, before any per-trial
+/// memory is allocated.
+pub const MAX_REPS: usize = 1 << 20;
+
+/// The most DPSGD steps a header's trials may take: 2^20, over 1000× the
+/// paper's k = 30. [`crate::check_runnable`] refuses to run more.
+pub const MAX_STEPS: usize = 1 << 20;
 
 /// A full-width `u64` seed, serialised as a decimal string so it survives
 /// the f64-backed JSON number model losslessly.
@@ -226,8 +237,9 @@ impl StoreContents {
     /// order. Repeats compare as [`TrialRecord::line`]s, not as `f64`s.
     ///
     /// # Errors
-    /// `InvalidData` for zero reps, an index outside `0..reps`, or two
-    /// different records for one index (a determinism conflict).
+    /// `InvalidData` for zero reps or reps above [`MAX_REPS`], an index
+    /// outside `0..reps`, or two different records for one index (a
+    /// determinism conflict).
     pub fn index(
         header: StoreHeader,
         records: impl IntoIterator<Item = TrialRecord>,
@@ -236,6 +248,11 @@ impl StoreContents {
         let reps = header.reps;
         if reps == 0 {
             return Err(invalid_data("store header has zero reps".into()));
+        }
+        if reps > MAX_REPS {
+            return Err(invalid_data(format!(
+                "store header has reps {reps}, above the bound MAX_REPS = {MAX_REPS}"
+            )));
         }
         let mut by_index = BTreeMap::new();
         let mut duplicates = 0;
@@ -502,6 +519,17 @@ mod tests {
         let err = read_store(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("zero reps"), "{err}");
+        // Nor may a header ask for more than `MAX_REPS`: the rule would
+        // otherwise list `0..reps` as missing, an allocation that aborts the
+        // reader at 10^14 reps.
+        write_lines(&path, &header(MAX_REPS + 1), &[]);
+        let Err(err) = read_store(&path) else {
+            panic!("reps above MAX_REPS must be refused");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("MAX_REPS = 1048576"), "{err}");
+        write_lines(&path, &header(MAX_REPS), &[]);
+        assert_eq!(read_store(&path).unwrap().missing.len(), MAX_REPS);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

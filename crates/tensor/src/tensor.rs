@@ -97,93 +97,12 @@ impl Tensor {
         self
     }
 
-    /// Row-major linear offset of a multi-index.
-    ///
-    /// # Panics
-    /// Panics if the index rank or any coordinate is out of range.
-    pub fn offset(&self, idx: &[usize]) -> usize {
-        assert_eq!(
-            idx.len(),
-            self.shape.len(),
-            "offset: rank mismatch ({:?} vs {:?})",
-            idx,
-            self.shape
-        );
-        let mut off = 0;
-        for (d, (&i, &s)) in idx.iter().zip(&self.shape).enumerate() {
-            assert!(
-                i < s,
-                "offset: index {i} out of bounds for dim {d} (size {s})"
-            );
-            off = off * s + i;
-        }
-        off
-    }
-
-    /// Element access by multi-index.
-    pub fn at(&self, idx: &[usize]) -> f64 {
-        self.data[self.offset(idx)]
-    }
-
-    /// Mutable element access by multi-index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f64 {
-        let off = self.offset(idx);
-        &mut self.data[off]
-    }
-
-    /// Elementwise in-place addition.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Elementwise in-place scaling.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
     /// Map a function over all elements, returning a new tensor.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
-    }
-
-    /// ℓ2 norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f64 {
-        dpaudit_math::l2_norm(&self.data)
-    }
-
-    /// Stack same-shaped tensors into one batch tensor of shape
-    /// `[B, ...shape]`, copying each example's buffer in order.
-    ///
-    /// # Panics
-    /// Panics on an empty slice or a shape mismatch between examples.
-    pub fn stack(examples: &[Tensor]) -> Tensor {
-        let first = examples
-            .first()
-            .expect("Tensor::stack: empty example slice");
-        let mut shape = Vec::with_capacity(first.shape.len() + 1);
-        shape.push(examples.len());
-        shape.extend_from_slice(&first.shape);
-        let mut data = Vec::with_capacity(examples.len() * first.data.len());
-        for (i, ex) in examples.iter().enumerate() {
-            assert_eq!(
-                ex.shape, first.shape,
-                "Tensor::stack: example {i} has shape {:?}, expected {:?}",
-                ex.shape, first.shape
-            );
-            data.extend_from_slice(&ex.data);
-        }
-        Tensor { shape, data }
     }
 }
 
@@ -204,32 +123,9 @@ mod tests {
     #[test]
     fn from_vec_and_indexing() {
         let t = Tensor::from_vec(&[2, 3], vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(t.at(&[0, 0]), 0.0);
-        assert_eq!(t.at(&[0, 2]), 2.0);
-        assert_eq!(t.at(&[1, 0]), 3.0);
-        assert_eq!(t.at(&[1, 2]), 5.0);
-    }
-
-    #[test]
-    fn offset_is_row_major() {
-        let t = Tensor::zeros(&[2, 3, 4]);
-        assert_eq!(t.offset(&[0, 0, 0]), 0);
-        assert_eq!(t.offset(&[0, 0, 3]), 3);
-        assert_eq!(t.offset(&[0, 1, 0]), 4);
-        assert_eq!(t.offset(&[1, 0, 0]), 12);
-        assert_eq!(t.offset(&[1, 2, 3]), 23);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn offset_bounds_checked() {
-        Tensor::zeros(&[2, 3]).offset(&[0, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank mismatch")]
-    fn offset_rank_checked() {
-        Tensor::zeros(&[2, 3]).offset(&[0]);
+        assert_eq!(t.shape(), &[2, 3]);
+        assert_eq!(t.data()[2], 2.0);
+        assert_eq!(t.data()[3], 3.0);
     }
 
     #[test]
@@ -243,7 +139,7 @@ mod tests {
         let t = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f64).collect());
         let r = t.reshape(&[6]);
         assert_eq!(r.shape(), &[6]);
-        assert_eq!(r.at(&[4]), 4.0);
+        assert_eq!(r.data()[4], 4.0);
     }
 
     #[test]
@@ -254,42 +150,9 @@ mod tests {
 
     #[test]
     fn elementwise_ops() {
-        let mut a = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        let b = Tensor::from_vec(&[3], vec![10.0, 20.0, 30.0]);
-        a.add_assign(&b);
-        assert_eq!(a.data(), &[11.0, 22.0, 33.0]);
-        a.scale(0.5);
-        assert_eq!(a.data(), &[5.5, 11.0, 16.5]);
+        let a = Tensor::from_vec(&[3], vec![5.5, 11.0, 16.5]);
         let m = a.map(|x| x * 2.0);
+        assert_eq!(m.shape(), &[3]);
         assert_eq!(m.data(), &[11.0, 22.0, 33.0]);
-    }
-
-    #[test]
-    fn l2_norm_flattened() {
-        let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 2.0, 4.0]);
-        assert!((t.l2_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stack_prepends_a_batch_dimension() {
-        let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Tensor::from_vec(&[2, 2], vec![5.0, 6.0, 7.0, 8.0]);
-        let s = Tensor::stack(&[a, b]);
-        assert_eq!(s.shape(), &[2, 2, 2]);
-        assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape")]
-    fn stack_checks_shapes() {
-        Tensor::stack(&[Tensor::zeros(&[2]), Tensor::zeros(&[3])]);
-    }
-
-    #[test]
-    fn at_mut_writes_through() {
-        let mut t = Tensor::zeros(&[2, 2]);
-        *t.at_mut(&[1, 1]) = 9.0;
-        assert_eq!(t.at(&[1, 1]), 9.0);
-        assert_eq!(t.data()[3], 9.0);
     }
 }
