@@ -1,20 +1,26 @@
 #!/usr/bin/env bash
 # Run the same small audits with two `dpaudit` binaries and compare their
-# trial stores and rendered reports byte for byte. The native f64 path's
-# stores are a fixed point: any change that moves one must do so on
-# purpose. A report is built from the store's records, so a change to the
-# report alone shows in the reports and not in the stores.
+# trial stores and rendered reports byte for byte. On one machine the
+# native kernels' stores, f64 and f32 alike, are a fixed point: any change
+# that moves one must do so on purpose. A report is built from the store's
+# records, so a change to the report alone shows in the reports and not in
+# the stores. The head must also read and continue the base's stores: a
+# header it reads differently would resume different trials.
 #
 # usage: bytes-vs-base.sh BASE_DPAUDIT HEAD_DPAUDIT [WORK_DIR]
 #
 # Covers mnist and purchase at `--threads 1`, so records land in trial
-# order, each under four flag sets: the Gaussian adversary at full batch
-# and Poisson-sampled (`--sampling-q 0.3`), and the threshold-MI adversary
-# (`--adversary mi`), bounded at full batch (its score comes from two
-# forward-pass losses) and unbounded Poisson-sampled (its reference loss
-# is the mean loss over D′). Then compares `dpaudit demo` stdout for both
-# workloads at `--reps 4 --steps 3`. Exits 1 if any pair of stores,
-# reports or demo outputs differs.
+# order, each under six flag sets: the Gaussian adversary at full batch
+# (LS-scaled, GS-scaled with `--scaling gs`, and with f32 gradient storage
+# via `--compute f32`) and Poisson-sampled (`--sampling-q 0.3`), and the
+# threshold-MI adversary (`--adversary mi`), bounded at full batch (its
+# score comes from two forward-pass losses) and unbounded Poisson-sampled
+# (its reference loss is the mean loss over D′). Each base store is then
+# cut to its header and 2 records and resumed by the head at `--threads
+# 1`; the result must equal the base's full store, so a head that reads a
+# stored scaling or compute mode as another value fails. Then compares
+# `dpaudit demo` stdout for both workloads at `--reps 4 --steps 3`. Exits 1
+# if any pair of stores, reports, resumed stores or demo outputs differs.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -52,6 +58,8 @@ same() {
 # NAME:EXTRA_FLAGS, one per audit variant.
 variants=(
   "gaussian_full:"
+  "gaussian_gs:--scaling gs"
+  "gaussian_f32:--compute f32"
   "gaussian_q0.3:--sampling-q 0.3"
   "mi_full:--adversary mi"
   "mi_unbounded_q0.3:--adversary mi --mode unbounded --sampling-q 0.3"
@@ -69,6 +77,17 @@ for workload in mnist purchase; do
     same "store $name" "$work/base_$name.jsonl" "$work/head_$name.jsonl"
     same "report $name" "$work/base_$name.jsonl.report" \
       "$work/head_$name.jsonl.report"
+    resumed="$work/resumed_$name.jsonl"
+    head -3 "$work/base_$name.jsonl" > "$resumed"
+    if "$head_bin" audit resume --store "$resumed" --threads 1 \
+      > "$resumed.report" 2> "$resumed.log"; then
+      same "base store resumed by head $name" "$work/base_$name.jsonl" \
+        "$resumed"
+    else
+      cat "$resumed.log" >&2
+      echo "differs: the head cannot resume the base store $name" >&2
+      status=1
+    fi
   done
 done
 

@@ -109,6 +109,16 @@ impl Args {
         self.reps.unwrap_or(if self.full { paper } else { default })
     }
 
+    /// The challenger training-set size: the paper's (§6.2) under
+    /// `--full`, the workload's reduced default otherwise.
+    pub fn train_size(&self, workload: crate::Workload) -> usize {
+        if self.full {
+            workload.paper_train_size()
+        } else {
+            workload.default_train_size()
+        }
+    }
+
     /// Resolve the step count (default 30, the paper's k).
     pub fn resolve_steps(&self) -> usize {
         self.steps.unwrap_or(crate::STEPS)
@@ -127,6 +137,7 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
 
     fn parse(s: &[&str]) -> Args {
         Args::from_flags(s.iter().map(|s| s.to_string()))
@@ -141,12 +152,16 @@ mod tests {
         assert!(!a.json);
         assert_eq!(a.resolve_reps(25, 250), 25);
         assert_eq!(a.resolve_steps(), 30);
+        assert_eq!(a.train_size(Workload::Purchase), 200);
+        assert_eq!(a.train_size(Workload::Mnist), 100);
     }
 
     #[test]
     fn full_flag_selects_paper_scale() {
         let a = parse(&["--full"]);
         assert_eq!(a.resolve_reps(25, 250), 250);
+        assert_eq!(a.train_size(Workload::Purchase), 1000);
+        assert_eq!(a.train_size(Workload::Mnist), 100);
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn main() {
     let steps = args.resolve_steps();
     let engine = args.engine_opts();
     let workload = Workload::Mnist;
-    let train_size = workload.default_train_size();
+    let train_size = args.train_size(workload);
     let world = workload.world(args.seed, train_size);
     let row = param_row(0.90, workload.delta());
     let pair = workload.max_pair(&world, NeighborMode::Bounded);

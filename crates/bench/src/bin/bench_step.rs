@@ -17,7 +17,7 @@
 //! speed.
 
 use dpaudit_bench::Workload;
-use dpaudit_dpsgd::{Batch, ClippingStrategy, ComputeMode, StepExec};
+use dpaudit_dpsgd::{clip_to_norm, Batch, ComputeMode, StepExec};
 use dpaudit_math::{axpy, seeded_rng};
 use dpaudit_tensor::{kernel_backend, set_force_scalar};
 use std::time::Instant;
@@ -58,25 +58,24 @@ fn measure(workload: Workload) -> serde_json::Value {
     let mut model = workload.build_model(&mut rng);
     model.update_norm_stats(&world.train.xs);
     let (xs, ys) = (&world.train.xs, &world.train.ys);
-    let clipping = ClippingStrategy::Flat(3.0);
+    let clip_norm = 3.0;
     let all: Vec<usize> = (0..xs.len()).collect();
 
     // One step's clipped sum through the single entry point. Each exec is
     // built outside the timed closures, so the parallel row (threads 0 =
     // the machine's parallelism) reuses one pool like a training run does.
     let exec = |compute| StepExec::new(compute).with_threads(1);
-    let step = |exec: &StepExec, batch| exec.clip_sum(&model, xs, ys, batch, &clipping).clean_sum;
+    let step = |exec: &StepExec, batch| exec.clip_sum(&model, xs, ys, batch, clip_norm).clean_sum;
     let (f64_exec, f32_exec) = (exec(ComputeMode::F64), exec(ComputeMode::F32));
     let parallel_exec = StepExec::new(ComputeMode::F64).with_threads(0);
     let (full, drawn) = (Batch::Full, Batch::Drawn(&all));
 
     // Scalar tiles pinned: the scalar oracle and the speedup baseline.
     set_force_scalar(true);
-    let layout = model.param_layout();
     let mut oracle_sum = vec![0.0; model.param_count()];
     for (x, &y) in xs.iter().zip(ys) {
         let (_, mut g) = model.per_example_grad_scalar(x, y);
-        clipping.clip(&mut g, &layout);
+        clip_to_norm(&mut g, clip_norm);
         axpy(1.0, &g, &mut oracle_sum);
     }
     let (f64_scalar, f64_scalar_sum) = throughput(|| step(&f64_exec, full));

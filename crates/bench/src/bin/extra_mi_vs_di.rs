@@ -20,7 +20,7 @@ fn main() {
     let reps = args.resolve_reps(15, 100);
     let steps = args.resolve_steps();
     let workload = Workload::Mnist;
-    let world = workload.world(args.seed, workload.default_train_size());
+    let world = workload.world(args.seed, args.train_size(workload));
     let row = param_row(0.90, workload.delta());
     let pair = workload.max_pair(&world, NeighborMode::Bounded);
     let settings = arm_settings(

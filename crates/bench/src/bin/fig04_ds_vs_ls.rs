@@ -31,7 +31,7 @@ fn main() {
             Workload::Mnist => 3,
             Workload::Purchase => 1,
         };
-        let train_size = workload.default_train_size();
+        let train_size = args.train_size(workload);
         let world = workload.world(args.seed, train_size);
         let maxers = workload.bounded_ranked(&world, top_k, true);
         let miners = workload.bounded_ranked(&world, top_k, false);

@@ -33,7 +33,7 @@ fn main() {
     println!("(reps: {reps}, steps: {steps}; paper: 1000 reps)\n");
 
     for workload in workloads {
-        let train_size = workload.default_train_size();
+        let train_size = args.train_size(workload);
         let world = workload.world(args.seed, train_size);
         let row = param_row(0.90, workload.delta());
         for (mode, gs) in [

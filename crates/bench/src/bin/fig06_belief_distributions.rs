@@ -33,7 +33,7 @@ fn main() {
     println!("(reps per arm: {reps}, steps: {steps}; paper: 1000 reps)\n");
 
     for workload in workloads {
-        let world = workload.world(args.seed, workload.default_train_size());
+        let world = workload.world(args.seed, args.train_size(workload));
         let row = param_row(rho_beta_bound, workload.delta());
         for (arm_idx, (scaling, mode)) in ARMS.iter().enumerate() {
             let pair = workload.max_pair(&world, *mode);
@@ -47,7 +47,7 @@ fn main() {
                     reps,
                     master_seed: split_seed(args.seed, 61 + arm_idx as u64),
                     world_seed: args.seed,
-                    train_size: workload.default_train_size(),
+                    train_size: args.train_size(workload),
                     row,
                     label: format!("fig06_{}_{scaling}_{mode}", workload.key()),
                 },

@@ -24,7 +24,8 @@ fn main() {
     );
     let mut json = Vec::new();
     for workload in workloads {
-        let cells = run_audit_grid(workload, reps, steps, args.seed, &engine);
+        let train_size = args.train_size(workload);
+        let cells = run_audit_grid(workload, train_size, reps, steps, args.seed, &engine);
         print_audit_grid(
             &format!("== {} ==", workload.name()),
             &cells,

@@ -20,7 +20,8 @@ fn main() {
     println!("Figure 9: eps' from max posterior belief (reps {reps}, steps {steps}; paper: 250)\n");
     let mut json = Vec::new();
     for workload in workloads {
-        let cells = run_audit_grid(workload, reps, steps, args.seed, &engine);
+        let train_size = args.train_size(workload);
+        let cells = run_audit_grid(workload, train_size, reps, steps, args.seed, &engine);
         print_audit_grid(
             &format!("== {} ==", workload.name()),
             &cells,

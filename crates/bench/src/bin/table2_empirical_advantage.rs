@@ -31,7 +31,7 @@ fn main() {
             "scaling": scaling.to_string(), "mode": mode.to_string(),
         });
         for workload in [Workload::Mnist, Workload::Purchase] {
-            let world = workload.world(args.seed, workload.default_train_size());
+            let world = workload.world(args.seed, args.train_size(workload));
             let prow = param_row(rho_beta_bound, workload.delta());
             let pair = workload.max_pair(&world, *mode);
             let settings = arm_settings(&prow, steps, *scaling, *mode, ChallengeMode::RandomBit);
@@ -44,7 +44,7 @@ fn main() {
                     reps,
                     master_seed: split_seed(args.seed, 101 + arm_idx as u64),
                     world_seed: args.seed,
-                    train_size: workload.default_train_size(),
+                    train_size: args.train_size(workload),
                     row: prow,
                     label: format!("table2_{}_{scaling}_{mode}", workload.key()),
                 },

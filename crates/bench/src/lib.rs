@@ -150,7 +150,8 @@ impl Workload {
     }
 
     /// The reduced default size used when `--full` is not given (single-core
-    /// machine; shapes are unaffected, see DESIGN.md).
+    /// machine; shapes are unaffected, see DESIGN.md); see
+    /// [`Args::train_size`].
     pub fn default_train_size(self) -> usize {
         match self {
             Workload::Mnist => 100,
@@ -419,15 +420,16 @@ pub struct AuditCell {
 }
 
 /// Run the §6.4 auditing grid: for each Table-1 ε target and each scaling
-/// arm (bounded DP, as in the paper), run `reps` challenge trials and audit.
+/// arm (bounded DP, as in the paper), run `reps` challenge trials on a
+/// world of `train_size` records and audit.
 pub fn run_audit_grid(
     workload: Workload,
+    train_size: usize,
     reps: usize,
     steps: usize,
     seed: u64,
     opts: &EngineOpts,
 ) -> Vec<AuditCell> {
-    let train_size = workload.default_train_size();
     let world = workload.world(seed, train_size);
     let pair = workload.max_pair(&world, NeighborMode::Bounded);
     let rho_betas = match workload {

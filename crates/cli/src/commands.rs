@@ -963,6 +963,32 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_header_the_builder_would_refuse() {
+        // Trials emit obs events; a held disabled sink keeps them out of a
+        // metrics sink another test installs.
+        let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
+        let (store, text) = small_store("invalid-settings.jsonl");
+        let store_s = store.to_str().unwrap();
+        // The header and one record, with no noise recorded: resumed, the
+        // missing trials panicked in the adversary's belief update.
+        let mut lines = text.lines();
+        let mut header: serde_json::Value = serde_json::from_str(lines.next().unwrap()).unwrap();
+        header["settings"]["dpsgd"]["noise_multiplier"] = serde_json::Value::Number(0.0);
+        let edited = format!("{header}\n{}\n", lines.next().unwrap());
+        std::fs::write(&store, &edited).unwrap();
+        let err = run_line(&["audit", "resume", "--store", store_s, "--threads", "1"]).unwrap_err();
+        assert!(
+            err.contains("header invalid trial settings: noise multiplier must be positive, got 0"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read_to_string(&store).unwrap(), edited);
+        // Readers still read it.
+        let report = run_line(&["audit", "report", "--store", store_s]).unwrap();
+        assert!(report.contains("1/3 trials stored"), "{report}");
+        std::fs::remove_file(&store).unwrap();
+    }
+
+    #[test]
     fn report_resume_and_watch_refuse_a_determinism_conflict() {
         // Trials emit obs events; a held disabled sink keeps them out of a
         // metrics sink another test installs.

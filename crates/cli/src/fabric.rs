@@ -142,8 +142,9 @@ impl fabric::JobRunner for EngineRunner {
     ) -> std::io::Result<fabric::JobWorkload> {
         // A worker must execute the job's recorded backend, not whatever it
         // has: shards from a different accumulation order would poison the
-        // coordinator's deterministic merge. Refuse a removed backend up
-        // front with a typed error.
+        // coordinator's deterministic merge. Refuse a removed backend, and
+        // settings or sizes no trial can run with, up front with a typed
+        // error.
         check_runnable(header).map_err(|e| {
             std::io::Error::new(e.kind(), format!("cannot execute job `{job}`: {e}"))
         })?;

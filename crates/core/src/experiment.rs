@@ -3,8 +3,7 @@
 use dpaudit_datasets::Dataset;
 use dpaudit_dp::NeighborMode;
 use dpaudit_dpsgd::{
-    train_dpsgd, train_dpsgd_subsampled, AdaptiveClipConfig, BackendChoice, ClippingStrategy,
-    ComputeMode, DpsgdConfig, NeighborPair, Optimizer, SensitivityScaling,
+    train_dpsgd, train_dpsgd_subsampled, ComputeMode, DpsgdConfig, NeighborPair, SensitivityScaling,
 };
 use dpaudit_math::{seeded_rng, split_seed};
 use dpaudit_nn::Sequential;
@@ -92,6 +91,24 @@ impl TrialSettings {
     pub fn builder() -> TrialSettingsBuilder {
         TrialSettingsBuilder::default()
     }
+
+    /// The one validation of trial settings, for the builder and for
+    /// every header a run reads: [`DpsgdConfig::check`] plus a Poisson rate
+    /// in `(0, 1)`.
+    ///
+    /// # Errors
+    /// A [`SettingsError`] naming the first offending field.
+    pub fn check(&self) -> Result<(), SettingsError> {
+        self.dpsgd.check().map_err(SettingsError::new)?;
+        if let Sampling::Poisson { q } = self.sampling {
+            if !(q.is_finite() && q > 0.0 && q < 1.0) {
+                return Err(SettingsError::new(format!(
+                    "poisson sampling rate must be in (0, 1), got {q}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A rejected trial configuration, naming the offending field.
@@ -112,112 +129,71 @@ impl std::fmt::Display for SettingsError {
 
 impl std::error::Error for SettingsError {}
 
-/// Builder for [`TrialSettings`]; see [`TrialSettings::builder`].
+/// Builder for [`TrialSettings`]; see [`TrialSettings::builder`]. It holds
+/// the settings as set so far, checked only by
+/// [`TrialSettingsBuilder::build`].
 #[derive(Debug, Clone)]
-pub struct TrialSettingsBuilder {
-    clipping: ClippingStrategy,
-    adaptive: Option<AdaptiveClipConfig>,
-    learning_rate: f64,
-    steps: usize,
-    mode: NeighborMode,
-    noise_multiplier: f64,
-    scaling: SensitivityScaling,
-    optimizer: Optimizer,
-    ls_floor: Option<f64>,
-    compute: ComputeMode,
-    challenge: ChallengeMode,
-    adversary: AdversaryKind,
-    sampling: Sampling,
-}
+pub struct TrialSettingsBuilder(TrialSettings);
 
 impl Default for TrialSettingsBuilder {
     fn default() -> Self {
-        TrialSettingsBuilder {
-            clipping: ClippingStrategy::Flat(3.0),
-            adaptive: None,
-            learning_rate: 0.005,
-            steps: 30,
-            mode: NeighborMode::Bounded,
-            noise_multiplier: 1.0,
-            scaling: SensitivityScaling::Local,
-            optimizer: Optimizer::Sgd,
-            ls_floor: None,
-            compute: ComputeMode::F64,
+        TrialSettingsBuilder(TrialSettings {
+            dpsgd: DpsgdConfig::new(
+                3.0,
+                0.005,
+                30,
+                NeighborMode::Bounded,
+                1.0,
+                SensitivityScaling::Local,
+            ),
             challenge: ChallengeMode::RandomBit,
             adversary: AdversaryKind::GaussianBelief,
             sampling: Sampling::FullBatch,
-        }
+        })
     }
 }
 
 impl TrialSettingsBuilder {
-    /// Flat per-example clipping at `norm` (the paper's setup).
+    /// Per-example clip norm C; the local-sensitivity floor follows it
+    /// ([`DpsgdConfig::ls_floor_for`]).
     #[must_use]
     pub fn clip_norm(mut self, norm: f64) -> Self {
-        self.clipping = ClippingStrategy::Flat(norm);
-        self
-    }
-
-    /// An arbitrary [`ClippingStrategy`] (e.g. per-layer norms).
-    #[must_use]
-    pub fn clipping(mut self, clipping: ClippingStrategy) -> Self {
-        self.clipping = clipping;
-        self
-    }
-
-    /// Adaptive-clipping controller (§7 extension; flat clipping only).
-    #[must_use]
-    pub fn adaptive(mut self, adaptive: AdaptiveClipConfig) -> Self {
-        self.adaptive = Some(adaptive);
+        self.0.dpsgd.clip_norm = norm;
         self
     }
 
     /// Learning rate η.
     #[must_use]
     pub fn learning_rate(mut self, learning_rate: f64) -> Self {
-        self.learning_rate = learning_rate;
+        self.0.dpsgd.learning_rate = learning_rate;
         self
     }
 
     /// Number of full-batch steps k.
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
-        self.steps = steps;
+        self.0.dpsgd.steps = steps;
         self
     }
 
     /// Neighbouring-dataset relation.
     #[must_use]
     pub fn mode(mut self, mode: NeighborMode) -> Self {
-        self.mode = mode;
+        self.0.dpsgd.mode = mode;
         self
     }
 
     /// Noise multiplier z.
     #[must_use]
     pub fn noise_multiplier(mut self, z: f64) -> Self {
-        self.noise_multiplier = z;
+        self.0.dpsgd.noise_multiplier = z;
         self
     }
 
     /// Global- vs local-sensitivity noise scaling.
     #[must_use]
     pub fn scaling(mut self, scaling: SensitivityScaling) -> Self {
-        self.scaling = scaling;
-        self
-    }
-
-    /// Update rule applied to the released gradient.
-    #[must_use]
-    pub fn optimizer(mut self, optimizer: Optimizer) -> Self {
-        self.optimizer = optimizer;
-        self
-    }
-
-    /// Override the local-sensitivity floor (default `1e-6 ·` clip bound).
-    #[must_use]
-    pub fn ls_floor(mut self, ls_floor: f64) -> Self {
-        self.ls_floor = Some(ls_floor);
+        self.0.dpsgd.scaling = scaling;
         self
     }
 
@@ -225,114 +201,40 @@ impl TrialSettingsBuilder {
     /// f32 trades bit-reproducibility against the f64 oracle for speed).
     #[must_use]
     pub fn compute(mut self, compute: ComputeMode) -> Self {
-        self.compute = compute;
+        self.0.dpsgd.compute = compute;
         self
     }
 
     /// Challenge-bit protocol.
     #[must_use]
     pub fn challenge(mut self, challenge: ChallengeMode) -> Self {
-        self.challenge = challenge;
+        self.0.challenge = challenge;
         self
     }
 
     /// Which adversary plays the trials.
     #[must_use]
     pub fn adversary(mut self, adversary: AdversaryKind) -> Self {
-        self.adversary = adversary;
+        self.0.adversary = adversary;
         self
     }
 
     /// Batch assembly per step (full-batch or Poisson-subsampled).
     #[must_use]
     pub fn sampling(mut self, sampling: Sampling) -> Self {
-        self.sampling = sampling;
+        self.0.sampling = sampling;
         self
     }
 
-    /// Validate and assemble the settings.
+    /// Derive the floor from the clip norm, as `DpsgdConfig::new` does,
+    /// and validate the settings with [`TrialSettings::check`].
     ///
     /// # Errors
-    /// A [`SettingsError`] naming the first offending field: non-positive
-    /// steps, clip norm, learning rate, noise multiplier or floor, an
-    /// adaptive controller combined with per-layer clipping, or a Poisson
-    /// rate outside `(0, 1)`.
-    pub fn build(self) -> Result<TrialSettings, SettingsError> {
-        if self.steps == 0 {
-            return Err(SettingsError::new("steps must be positive"));
-        }
-        let bound = match &self.clipping {
-            ClippingStrategy::Flat(c) => {
-                if !(c.is_finite() && *c > 0.0) {
-                    return Err(SettingsError::new(format!(
-                        "clip norm must be positive, got {c}"
-                    )));
-                }
-                *c
-            }
-            ClippingStrategy::PerLayer(norms) => {
-                if norms.is_empty() {
-                    return Err(SettingsError::new("per-layer clip norms are empty"));
-                }
-                if let Some(c) = norms.iter().find(|c| !(c.is_finite() && **c > 0.0)) {
-                    return Err(SettingsError::new(format!(
-                        "clip norm must be positive, got {c}"
-                    )));
-                }
-                norms.iter().map(|c| c * c).sum::<f64>().sqrt()
-            }
-        };
-        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
-            return Err(SettingsError::new(format!(
-                "learning rate must be positive, got {}",
-                self.learning_rate
-            )));
-        }
-        if !(self.noise_multiplier.is_finite() && self.noise_multiplier > 0.0) {
-            return Err(SettingsError::new(format!(
-                "noise multiplier must be positive, got {}",
-                self.noise_multiplier
-            )));
-        }
-        if self.adaptive.is_some() && !matches!(self.clipping, ClippingStrategy::Flat(_)) {
-            return Err(SettingsError::new(
-                "adaptive clipping requires a flat clipping norm",
-            ));
-        }
-        let ls_floor = match self.ls_floor {
-            Some(floor) if floor.is_finite() && floor > 0.0 => floor,
-            Some(floor) => {
-                return Err(SettingsError::new(format!(
-                    "ls floor must be positive, got {floor}"
-                )));
-            }
-            None => 1e-6 * bound,
-        };
-        if let Sampling::Poisson { q } = self.sampling {
-            if !(q.is_finite() && q > 0.0 && q < 1.0) {
-                return Err(SettingsError::new(format!(
-                    "poisson sampling rate must be in (0, 1), got {q}"
-                )));
-            }
-        }
-        Ok(TrialSettings {
-            dpsgd: DpsgdConfig {
-                clipping: self.clipping,
-                adaptive: self.adaptive,
-                learning_rate: self.learning_rate,
-                steps: self.steps,
-                mode: self.mode,
-                noise_multiplier: self.noise_multiplier,
-                scaling: self.scaling,
-                optimizer: self.optimizer,
-                ls_floor,
-                compute: self.compute,
-                backend: BackendChoice::Native,
-            },
-            challenge: self.challenge,
-            adversary: self.adversary,
-            sampling: self.sampling,
-        })
+    /// A [`SettingsError`] naming the first offending field.
+    pub fn build(mut self) -> Result<TrialSettings, SettingsError> {
+        self.0.dpsgd.ls_floor = DpsgdConfig::ls_floor_for(self.0.dpsgd.clip_norm);
+        self.0.check()?;
+        Ok(self.0)
     }
 }
 
@@ -601,7 +503,7 @@ mod tests {
     use super::*;
     use dpaudit_datasets::NeighborSpec;
     use dpaudit_dp::NeighborMode;
-    use dpaudit_dpsgd::SensitivityScaling;
+    use dpaudit_dpsgd::{BackendChoice, SensitivityScaling};
     use dpaudit_nn::{Dense, Layer};
     use dpaudit_tensor::Tensor;
 
@@ -753,27 +655,12 @@ mod tests {
         assert!(err(TrialSettings::builder().clip_norm(f64::NAN)).contains("clip norm"));
         assert!(err(TrialSettings::builder().learning_rate(-0.1)).contains("learning rate"));
         assert!(err(TrialSettings::builder().noise_multiplier(0.0)).contains("noise multiplier"));
-        assert!(err(TrialSettings::builder().ls_floor(-1.0)).contains("ls floor"));
-        assert!(err(
-            TrialSettings::builder().clipping(dpaudit_dpsgd::ClippingStrategy::PerLayer(vec![]))
-        )
-        .contains("per-layer"));
-        assert!(err(TrialSettings::builder()
-            .clipping(dpaudit_dpsgd::ClippingStrategy::PerLayer(vec![1.0, 2.0]))
-            .adaptive(AdaptiveClipConfig::new(0.5, 0.2)))
-        .contains("adaptive"));
     }
 
     #[test]
     fn builder_defaults_ls_floor_from_the_clip_bound() {
         let s = TrialSettings::builder().clip_norm(2.0).build().unwrap();
         assert!((s.dpsgd.ls_floor - 2e-6).abs() < 1e-18);
-        let s = TrialSettings::builder()
-            .clip_norm(2.0)
-            .ls_floor(0.5)
-            .build()
-            .unwrap();
-        assert_eq!(s.dpsgd.ls_floor, 0.5);
     }
 
     #[test]

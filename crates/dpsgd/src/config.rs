@@ -1,16 +1,15 @@
-//! DPSGD run configuration.
+//! DPSGD run configuration: one flat clip norm and a plain SGD step, the
+//! one validation of their values ([`DpsgdConfig::check`]), and the codec
+//! that keeps the store-header bytes older builds wrote.
 
 use dpaudit_dp::{gradient_sum_global_sensitivity, NeighborMode};
-use serde::{Deserialize, Serialize};
-
-use crate::clip::{AdaptiveClipConfig, ClippingStrategy};
-use crate::optimizer::Optimizer;
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Which sensitivity σ_i is scaled to (the paper's central ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SensitivityScaling {
-    /// σ_i = z · GS (GS = C unbounded, 2C bounded) — constant noise while
-    /// the clipping norm is constant.
+    /// σ_i = z · GS (GS = C unbounded, 2C bounded) — constant noise over
+    /// the run.
     Global,
     /// σ_i = z · L̂S_ĝᵢ (Eqs. 17/18) — noise tracks the per-step estimated
     /// local sensitivity of the concrete neighbouring pair.
@@ -34,7 +33,7 @@ impl std::fmt::Display for SensitivityScaling {
 /// `[B, param]` per-example gradient buffers and activations in single
 /// precision — halving the memory traffic of the hot loop and doubling
 /// SIMD lane width — while the clipped-gradient *accumulation*, the loss
-/// head, and everything downstream (sensitivity, noise, optimizer) stay
+/// head, and everything downstream (sensitivity, noise, update) stay
 /// f64. f32 runs are tolerance-equivalent to the oracle, not bit-identical,
 /// and are opt-in per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -97,14 +96,17 @@ impl std::fmt::Display for BackendChoice {
     }
 }
 
-/// Configuration of one DPSGD training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Configuration of one DPSGD training run. Every step clips each
+/// per-example gradient to the one flat norm `clip_norm` and takes a plain
+/// SGD step on the noised sum: the single bound the paper's sensitivities
+/// (§6.1/§6.3) and the accountants assume.
+///
+/// The serialised form is the one older builds wrote (see the
+/// [`Serialize`] impl), so store headers and transcripts keep their bytes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpsgdConfig {
-    /// Per-example clipping strategy (the paper: flat `C = 3`).
-    pub clipping: ClippingStrategy,
-    /// Optional adaptive-clipping controller (§7 extension; flat clipping
-    /// only).
-    pub adaptive: Option<AdaptiveClipConfig>,
+    /// Per-example clip norm `C` (the paper: 3).
+    pub clip_norm: f64,
     /// Learning rate `η` (applied to the mean perturbed gradient).
     pub learning_rate: f64,
     /// Number of training steps `k`: full-batch steps (= epochs in the
@@ -117,28 +119,22 @@ pub struct DpsgdConfig {
     pub noise_multiplier: f64,
     /// Whether σ_i is scaled to global or estimated local sensitivity.
     pub scaling: SensitivityScaling,
-    /// Update rule applied to the released gradient (post-processing; no
-    /// effect on privacy or on the adversary's view).
-    #[serde(default)]
-    pub optimizer: Optimizer,
     /// Floor for the local sensitivity to keep σ_i positive when the two
     /// differing-record gradients coincide.
     pub ls_floor: f64,
     /// Storage precision of the batched gradient pipeline (f64 default).
-    #[serde(default)]
     pub compute: ComputeMode,
     /// The gemm backend the header records (always native for new runs).
-    #[serde(default)]
     pub backend: BackendChoice,
 }
 
 impl DpsgdConfig {
-    /// Flat-clipping configuration (the paper's setup); `ls_floor` defaults
-    /// to `1e-6 · C`.
+    /// The paper's setup with the floor at
+    /// [`DpsgdConfig::ls_floor_for`]`(clip_norm)`, f64 storage and the
+    /// native backend.
     ///
     /// # Panics
-    /// Panics on non-positive clip norm, learning rate, steps or noise
-    /// multiplier.
+    /// Panics with [`DpsgdConfig::check`]'s message on an invalid value.
     pub fn new(
         clip_norm: f64,
         learning_rate: f64,
@@ -147,89 +143,156 @@ impl DpsgdConfig {
         noise_multiplier: f64,
         scaling: SensitivityScaling,
     ) -> Self {
-        Self::with_clipping(
-            ClippingStrategy::Flat(clip_norm),
+        let cfg = Self {
+            clip_norm,
             learning_rate,
             steps,
             mode,
             noise_multiplier,
             scaling,
-        )
-    }
-
-    /// General constructor accepting any [`ClippingStrategy`].
-    ///
-    /// # Panics
-    /// Panics on invalid clipping norms, learning rate, steps or noise
-    /// multiplier.
-    pub fn with_clipping(
-        clipping: ClippingStrategy,
-        learning_rate: f64,
-        steps: usize,
-        mode: NeighborMode,
-        noise_multiplier: f64,
-        scaling: SensitivityScaling,
-    ) -> Self {
-        let bound = clipping.total_bound(); // validates the norms
-        assert!(
-            learning_rate > 0.0,
-            "DpsgdConfig: learning rate must be positive"
-        );
-        assert!(steps > 0, "DpsgdConfig: steps must be positive");
-        assert!(
-            noise_multiplier.is_finite() && noise_multiplier > 0.0,
-            "DpsgdConfig: noise multiplier must be positive"
-        );
-        Self {
-            clipping,
-            adaptive: None,
-            learning_rate,
-            steps,
-            mode,
-            noise_multiplier,
-            scaling,
-            optimizer: Optimizer::Sgd,
-            ls_floor: 1e-6 * bound,
+            ls_floor: Self::ls_floor_for(clip_norm),
             compute: ComputeMode::F64,
             backend: BackendChoice::Native,
+        };
+        if let Err(e) = cfg.check() {
+            panic!("DpsgdConfig: {e}");
         }
+        cfg
     }
 
-    /// Enable adaptive clipping (Thakkar et al., §7 extension).
+    /// The local-sensitivity floor a run with clip norm `clip_norm` uses:
+    /// `1e-6 · C`.
+    pub fn ls_floor_for(clip_norm: f64) -> f64 {
+        1e-6 * clip_norm
+    }
+
+    /// The one validation of a DPSGD configuration: at least one step, and
+    /// a finite, positive clip norm, learning rate, noise multiplier and
+    /// floor.
     ///
-    /// # Panics
-    /// Panics when the clipping strategy is not flat — the adaptive
-    /// controller steers a single scalar norm.
-    pub fn with_adaptive(mut self, adaptive: AdaptiveClipConfig) -> Self {
-        assert!(
-            matches!(self.clipping, ClippingStrategy::Flat(_)),
-            "DpsgdConfig: adaptive clipping requires a flat clipping norm"
-        );
-        self.adaptive = Some(adaptive);
-        self
+    /// # Errors
+    /// A message naming the first offending field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.steps == 0 {
+            return Err("steps must be positive".into());
+        }
+        for (name, value) in [
+            ("clip norm", self.clip_norm),
+            ("learning rate", self.learning_rate),
+            ("noise multiplier", self.noise_multiplier),
+            ("ls floor", self.ls_floor),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(format!("{name} must be positive, got {value}"));
+            }
+        }
+        Ok(())
     }
 
-    /// The bound on one clipped per-example gradient's norm at the *start*
-    /// of training (adaptive clipping evolves it per step).
-    pub fn clip_bound(&self) -> f64 {
-        self.clipping.total_bound()
-    }
-
-    /// The global sensitivity of the clipped gradient sum at a given
-    /// per-example bound (C unbounded, 2C bounded).
-    pub fn global_sensitivity_at(&self, bound: f64) -> f64 {
-        gradient_sum_global_sensitivity(bound, self.mode)
+    /// The global sensitivity of the clipped gradient sum (C unbounded, 2C
+    /// bounded).
+    pub fn global_sensitivity(&self) -> f64 {
+        gradient_sum_global_sensitivity(self.clip_norm, self.mode)
     }
 
     /// The Δf actually used at a step whose estimated local sensitivity is
-    /// `ls` and whose per-example bound is `bound`, respecting the scaling
-    /// strategy and the floor.
-    pub fn sensitivity_for_step(&self, ls: f64, bound: f64) -> f64 {
+    /// `ls`, respecting the scaling strategy and the floor.
+    pub fn sensitivity_for_step(&self, ls: f64) -> f64 {
         match self.scaling {
-            SensitivityScaling::Global => self.global_sensitivity_at(bound),
+            SensitivityScaling::Global => self.global_sensitivity(),
             SensitivityScaling::Local => ls.max(self.ls_floor),
         }
     }
+}
+
+/// Writes the keys older builds wrote, in their order, with the options
+/// they carried at the one value this step rule has: `clipping` as
+/// `{"Flat":C}`, `adaptive` as `null` and `optimizer` as `"Sgd"`.
+impl Serialize for DpsgdConfig {
+    fn to_value(&self) -> Value {
+        let entry = |key: &str, value: Value| (key.to_string(), value);
+        Value::Object(vec![
+            entry(
+                "clipping",
+                Value::Object(vec![entry("Flat", self.clip_norm.to_value())]),
+            ),
+            entry("adaptive", Value::Null),
+            entry("learning_rate", self.learning_rate.to_value()),
+            entry("steps", self.steps.to_value()),
+            entry("mode", self.mode.to_value()),
+            entry("noise_multiplier", self.noise_multiplier.to_value()),
+            entry("scaling", self.scaling.to_value()),
+            entry("optimizer", Value::String("Sgd".into())),
+            entry("ls_floor", self.ls_floor.to_value()),
+            entry("compute", self.compute.to_value()),
+            entry("backend", self.backend.to_value()),
+        ])
+    }
+}
+
+/// Reads what [`Serialize`] writes. `adaptive`, `optimizer`, `compute` and
+/// `backend` may be missing, as in older headers. A record naming per-layer
+/// clipping, an adaptive controller or Adam is refused: its trials ran
+/// another step rule, and reading it as flat SGD would run different trials
+/// under the same header.
+impl Deserialize for DpsgdConfig {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        if !matches!(value, Value::Object(_)) {
+            return Err(Error::type_mismatch("object", value));
+        }
+        let removed =
+            |key: &str, what: &str| Error::custom(format!("DpsgdConfig.{key}: {what} was removed"));
+        let clip_norm = match value.get("clipping") {
+            Some(Value::Object(tagged)) if tagged.len() == 1 && tagged[0].0 == "Flat" => {
+                f64::from_value(&tagged[0].1).map_err(|e| e.context("DpsgdConfig.clipping.Flat"))?
+            }
+            Some(v) if v.get("PerLayer").is_some() => {
+                return Err(removed("clipping", "per-layer clipping"))
+            }
+            Some(other) => {
+                return Err(Error::type_mismatch("{\"Flat\": clip norm}", other)
+                    .context("DpsgdConfig.clipping"))
+            }
+            None => return Err(Error::missing_field("DpsgdConfig", "clipping")),
+        };
+        if !matches!(value.get("adaptive"), None | Some(Value::Null)) {
+            return Err(removed("adaptive", "adaptive clipping"));
+        }
+        match value.get("optimizer") {
+            None => {}
+            Some(Value::String(tag)) if tag == "Sgd" => {}
+            Some(v) if v.get("Adam").is_some() => {
+                return Err(removed("optimizer", "the Adam optimizer"))
+            }
+            Some(other) => {
+                return Err(Error::type_mismatch("\"Sgd\"", other).context("DpsgdConfig.optimizer"))
+            }
+        }
+        Ok(Self {
+            clip_norm,
+            learning_rate: required(value, "learning_rate")?,
+            steps: required(value, "steps")?,
+            mode: required(value, "mode")?,
+            noise_multiplier: required(value, "noise_multiplier")?,
+            scaling: required(value, "scaling")?,
+            ls_floor: required(value, "ls_floor")?,
+            compute: optional(value, "compute")?.unwrap_or_default(),
+            backend: optional(value, "backend")?.unwrap_or_default(),
+        })
+    }
+}
+
+/// Field `key` of a `DpsgdConfig` object, or `None` when it is absent.
+fn optional<T: Deserialize>(object: &Value, key: &str) -> Result<Option<T>, Error> {
+    object
+        .get(key)
+        .map(|v| T::from_value(v).map_err(|e| e.context(&format!("DpsgdConfig.{key}"))))
+        .transpose()
+}
+
+/// Field `key` of a `DpsgdConfig` object, which must be present.
+fn required<T: Deserialize>(object: &Value, key: &str) -> Result<T, Error> {
+    optional(object, key)?.ok_or_else(|| Error::missing_field("DpsgdConfig", key))
 }
 
 #[cfg(test)]
@@ -243,60 +306,23 @@ mod tests {
     #[test]
     fn global_sensitivity_per_mode() {
         let c = cfg(NeighborMode::Unbounded, SensitivityScaling::Global);
-        assert_eq!(c.global_sensitivity_at(c.clip_bound()), 3.0);
+        assert_eq!(c.global_sensitivity(), 3.0);
         let c = cfg(NeighborMode::Bounded, SensitivityScaling::Global);
-        assert_eq!(c.global_sensitivity_at(c.clip_bound()), 6.0);
+        assert_eq!(c.global_sensitivity(), 6.0);
     }
 
     #[test]
     fn step_sensitivity_global_ignores_ls() {
         let c = cfg(NeighborMode::Bounded, SensitivityScaling::Global);
-        assert_eq!(c.sensitivity_for_step(0.5, 3.0), 6.0);
-        assert_eq!(c.sensitivity_for_step(100.0, 3.0), 6.0);
-        // Adaptive clipping changes the bound, and GS follows it.
-        assert_eq!(c.sensitivity_for_step(0.5, 1.0), 2.0);
+        assert_eq!(c.sensitivity_for_step(0.5), 6.0);
+        assert_eq!(c.sensitivity_for_step(100.0), 6.0);
     }
 
     #[test]
     fn step_sensitivity_local_uses_ls_with_floor() {
         let c = cfg(NeighborMode::Bounded, SensitivityScaling::Local);
-        assert_eq!(c.sensitivity_for_step(0.5, 3.0), 0.5);
-        assert_eq!(c.sensitivity_for_step(0.0, 3.0), 3e-6);
-    }
-
-    #[test]
-    fn per_layer_config_bound_is_rss() {
-        let c = DpsgdConfig::with_clipping(
-            ClippingStrategy::PerLayer(vec![3.0, 4.0]),
-            0.005,
-            30,
-            NeighborMode::Unbounded,
-            1.0,
-            SensitivityScaling::Global,
-        );
-        assert!((c.clip_bound() - 5.0).abs() < 1e-12);
-        assert!((c.ls_floor - 5e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn adaptive_requires_flat() {
-        let c = cfg(NeighborMode::Bounded, SensitivityScaling::Global)
-            .with_adaptive(AdaptiveClipConfig::new(0.5, 0.2));
-        assert!(c.adaptive.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a flat clipping norm")]
-    fn adaptive_rejected_for_per_layer() {
-        DpsgdConfig::with_clipping(
-            ClippingStrategy::PerLayer(vec![1.0, 1.0]),
-            0.005,
-            30,
-            NeighborMode::Bounded,
-            1.0,
-            SensitivityScaling::Global,
-        )
-        .with_adaptive(AdaptiveClipConfig::new(0.5, 0.2));
+        assert_eq!(c.sensitivity_for_step(0.5), 0.5);
+        assert_eq!(c.sensitivity_for_step(0.0), 3e-6);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! any result — only how fast it arrives.
 
 use std::cell::OnceCell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpaudit_math::{axpy, l2_norm};
@@ -37,7 +36,6 @@ use dpaudit_tensor::{Elem, Tensor};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
-use crate::clip::ClippingStrategy;
 use crate::config::ComputeMode;
 
 /// Examples per full-batch chunk. A constant of the computation, not of the
@@ -80,7 +78,7 @@ pub struct ClipSum {
     pub clean_sum: Vec<f64>,
     /// Sum of the per-example losses.
     pub loss_total: f64,
-    /// Examples whose pre-clip norm was already within the bound.
+    /// Examples whose pre-clip norm was already within the clip norm.
     pub unclipped: usize,
 }
 
@@ -121,37 +119,26 @@ impl StepExec {
 
     /// The clipped-gradient sum of `batch` over the labelled set
     /// `(xs, ys)` at the model's current state: per-example gradients,
-    /// clipped by `clipping` over the model's parameter layout, summed as
-    /// the module docs describe. The f64 result is bit-identical to
-    /// clipping `per_example_grad_scalar` gradients and summing them in the
-    /// same order; f32 is tolerance-equivalent to it.
+    /// each clipped to `clip_norm`, summed as the module docs describe. The
+    /// f64 result is bit-identical to clipping `per_example_grad_scalar`
+    /// gradients with [`crate::clip_to_norm`] and summing them in the same
+    /// order; f32 is tolerance-equivalent to it.
     pub fn clip_sum(
         &self,
         model: &Sequential,
         xs: &[Tensor],
         ys: &[usize],
         batch: Batch<'_>,
-        clipping: &ClippingStrategy,
+        clip_norm: f64,
     ) -> ClipSum {
         assert_eq!(xs.len(), ys.len(), "clip_sum: length mismatch");
-        let layout = model.param_layout();
         match self.compute {
-            ComputeMode::F64 => self.sum_at(
-                &BatchModel::<f64>::new(model),
-                xs,
-                ys,
-                batch,
-                clipping,
-                &layout,
-            ),
-            ComputeMode::F32 => self.sum_at(
-                &BatchModel::<f32>::new(model),
-                xs,
-                ys,
-                batch,
-                clipping,
-                &layout,
-            ),
+            ComputeMode::F64 => {
+                self.sum_at(&BatchModel::<f64>::new(model), xs, ys, batch, clip_norm)
+            }
+            ComputeMode::F32 => {
+                self.sum_at(&BatchModel::<f32>::new(model), xs, ys, batch, clip_norm)
+            }
         }
     }
 
@@ -161,16 +148,14 @@ impl StepExec {
         xs: &[Tensor],
         ys: &[usize],
         batch: Batch<'_>,
-        clipping: &ClippingStrategy,
-        layout: &[usize],
+        clip_norm: f64,
     ) -> ClipSum {
         let dim = view.param_count();
-        let bound = clipping.total_bound();
         let add = |acc: &mut ClipSum, xs: &[Tensor], ys: &[usize]| {
             let (losses, grads) = view.per_example_grads(xs, ys);
-            let norms = T::clip_add(clipping, &grads, layout, &mut acc.clean_sum);
+            let norms = T::clip_add(clip_norm, &grads, &mut acc.clean_sum);
             for (norm, loss) in norms.into_iter().zip(losses) {
-                if norm <= bound {
+                if norm <= clip_norm {
                     acc.unclipped += 1;
                 }
                 acc.loss_total += loss;
@@ -237,17 +222,12 @@ impl StepExec {
     }
 }
 
-/// Clip each `sum.len()`-wide per-example gradient row of `grads` and add
-/// it into the f64 sum, returning the rows' pre-clip total norms — per
-/// element type. Both follow [`ClippingStrategy::clip`]'s semantics:
-/// `g ← g · min(1, C/‖g‖)` per flat or per-layer segment.
+/// Clip each `sum.len()`-wide per-example gradient row of `grads` to `c`
+/// and add it into the f64 sum, returning the rows' pre-clip norms — per
+/// element type. Both follow [`crate::clip_to_norm`]'s rule
+/// `g ← g · min(1, C/‖g‖)`.
 trait ClipAdd: Elem {
-    fn clip_add(
-        clipping: &ClippingStrategy,
-        grads: &[Self],
-        layout: &[usize],
-        sum: &mut [f64],
-    ) -> Vec<f64>;
+    fn clip_add(c: f64, grads: &[Self], sum: &mut [f64]) -> Vec<f64>;
 }
 
 /// `min(1, C/‖g‖)`: the factor that clips a gradient of norm `norm` to `c`.
@@ -259,50 +239,30 @@ fn clip_factor(norm: f64, c: f64) -> f64 {
     }
 }
 
-/// The f64 fusion of [`ClippingStrategy::clip`] + `axpy(1.0, …)` over a
-/// whole chunk: one pass takes every row's norms ([`row_norms`]), then each
-/// row joins the sum as `axpy(factor, row, sum)`, per flat norm or per-layer
-/// segment. Bit-identical to scaling the row in place and adding it with
-/// factor 1: IEEE multiplication commutes and `1.0·x` is exact. Each sum
-/// element still takes the rows in row order.
+/// The f64 fusion of [`crate::clip_to_norm`] + `axpy(1.0, …)` over a whole
+/// chunk: one pass takes every row's norm ([`row_norms`]), then each row
+/// joins the sum as `axpy(factor, row, sum)`. Bit-identical to scaling the
+/// row in place and adding it with factor 1: IEEE multiplication commutes
+/// and `1.0·x` is exact. Each sum element still takes the rows in row
+/// order.
 impl ClipAdd for f64 {
-    fn clip_add(
-        clipping: &ClippingStrategy,
-        grads: &[f64],
-        layout: &[usize],
-        sum: &mut [f64],
-    ) -> Vec<f64> {
+    fn clip_add(c: f64, grads: &[f64], sum: &mut [f64]) -> Vec<f64> {
         let dim = sum.len();
-        let norms = row_norms(grads, dim, 0..dim);
-        for (c, seg) in clipping.segments(layout, dim) {
-            // A segment spanning the row (flat clipping) has the total norms.
-            let seg_norms = if seg.len() == dim {
-                norms.clone()
-            } else {
-                row_norms(grads, dim, seg.clone())
-            };
-            for (row, norm) in grads.chunks_exact(dim).zip(seg_norms) {
-                axpy(
-                    clip_factor(norm, c),
-                    &row[seg.clone()],
-                    &mut sum[seg.clone()],
-                );
-            }
+        let norms = row_norms(grads, dim);
+        for (row, &norm) in grads.chunks_exact(dim).zip(&norms) {
+            axpy(clip_factor(norm, c), row, sum);
         }
         norms
     }
 }
 
-/// ‖row[range]‖ of every `dim`-wide row of `grads`. One row's norm is a
-/// serial add chain (~10⁵ terms on the Purchase MLP) whose latency, not
-/// its arithmetic, sets its time, so four rows' chains advance side by
-/// side. Each row is still summed alone in ascending index order, so every
-/// norm equals `l2_norm(&row[range])` bit for bit.
-fn row_norms(grads: &[f64], dim: usize, range: Range<usize>) -> Vec<f64> {
-    let rows: Vec<&[f64]> = grads
-        .chunks_exact(dim)
-        .map(|row| &row[range.clone()])
-        .collect();
+/// ‖row‖ of every `dim`-wide row of `grads`. One row's norm is a serial
+/// add chain (~10⁵ terms on the Purchase MLP) whose latency, not its
+/// arithmetic, sets its time, so four rows' chains advance side by side.
+/// Each row is still summed alone in ascending index order, so every norm
+/// equals `l2_norm(row)` bit for bit.
+fn row_norms(grads: &[f64], dim: usize) -> Vec<f64> {
+    let rows: Vec<&[f64]> = grads.chunks_exact(dim).collect();
     let mut norms = Vec::with_capacity(rows.len());
     let mut quads = rows.chunks_exact(4);
     for quad in &mut quads {
@@ -319,37 +279,20 @@ fn row_norms(grads: &[f64], dim: usize, range: Range<usize>) -> Vec<f64> {
     norms
 }
 
-/// The f32 fusion of [`ClippingStrategy::clip`] + `axpy`, row by row: each
+/// The f32 fusion of [`crate::clip_to_norm`] + `axpy`, row by row: each
 /// value is widened on the fly, so the norm, the clip scale and the sum all
 /// accumulate in f64 without materialising an f64 copy of the row. The
 /// semantics match the f64 path; only the reduction order of the norm
 /// differs, which the f32 mode's tolerance contract permits.
 impl ClipAdd for f32 {
-    fn clip_add(
-        clipping: &ClippingStrategy,
-        grads: &[f32],
-        layout: &[usize],
-        sum: &mut [f64],
-    ) -> Vec<f64> {
+    fn clip_add(c: f64, grads: &[f32], sum: &mut [f64]) -> Vec<f64> {
         let dim = sum.len();
-        let segments = clipping.segments(layout, dim);
         grads
             .chunks_exact(dim)
             .map(|row| {
-                let pre = l2_norm_widened(row);
-                for (c, seg) in &segments {
-                    let norm = if seg.len() == dim {
-                        pre
-                    } else {
-                        l2_norm_widened(&row[seg.clone()])
-                    };
-                    axpy_widened(
-                        clip_factor(norm, *c),
-                        &row[seg.clone()],
-                        &mut sum[seg.clone()],
-                    );
-                }
-                pre
+                let norm = l2_norm_widened(row);
+                axpy_widened(clip_factor(norm, c), row, sum);
+                norm
             })
             .collect()
     }
@@ -388,6 +331,7 @@ fn axpy_widened(factor: f64, row: &[f32], sum: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clip::clip_to_norm;
     use dpaudit_math::seeded_rng;
     use dpaudit_nn::{Dense, Layer};
 
@@ -441,68 +385,36 @@ mod tests {
         let saturating = Tensor::full(&[5], 1e5);
         ys.push(model.predict(&saturating));
         xs.push(saturating);
-        let layout = model.param_layout();
         let (_, zero_row) = model.per_example_grad_scalar(&xs[xs.len() - 1], ys[ys.len() - 1]);
         assert!(zero_row.iter().all(|&g| g == 0.0));
 
-        for clipping in [
-            ClippingStrategy::Flat(0.9),
-            ClippingStrategy::PerLayer(vec![0.5, 0.85]),
-        ] {
-            let out = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+        let c = 0.9;
+        let out = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, Batch::Full, c);
 
-            // Chunked scalar oracle with the same fold order.
-            let bound = clipping.total_bound();
-            let mut expect = vec![0.0; model.param_count()];
-            let mut loss_total = 0.0;
-            let mut unclipped = 0;
-            // Per clip norm: (rows above it, rows within it).
-            let mut sides = vec![(0, 0); clipping.segments(&layout, model.param_count()).len()];
-            for chunk in xs.chunks(CLIP_CHUNK).zip(ys.chunks(CLIP_CHUNK)) {
-                let mut partial = vec![0.0; model.param_count()];
-                let mut partial_loss = 0.0;
-                for (x, &y) in chunk.0.iter().zip(chunk.1) {
-                    let (loss, mut g) = model.per_example_grad_scalar(x, y);
-                    for ((c, seg), side) in clipping
-                        .segments(&layout, g.len())
-                        .into_iter()
-                        .zip(&mut sides)
-                    {
-                        if l2_norm(&g[seg]) > c {
-                            side.0 += 1;
-                        } else {
-                            side.1 += 1;
-                        }
-                    }
-                    let pre_norm = clipping.clip(&mut g, &layout);
-                    if pre_norm <= bound {
-                        unclipped += 1;
-                    }
-                    partial_loss += loss;
-                    axpy(1.0, &g, &mut partial);
+        // Chunked scalar oracle with the same fold order.
+        let mut expect = vec![0.0; model.param_count()];
+        let mut loss_total = 0.0;
+        let mut unclipped = 0;
+        for chunk in xs.chunks(CLIP_CHUNK).zip(ys.chunks(CLIP_CHUNK)) {
+            let mut partial = vec![0.0; model.param_count()];
+            let mut partial_loss = 0.0;
+            for (x, &y) in chunk.0.iter().zip(chunk.1) {
+                let (loss, mut g) = model.per_example_grad_scalar(x, y);
+                if clip_to_norm(&mut g, c) <= c {
+                    unclipped += 1;
                 }
-                loss_total += partial_loss;
-                axpy(1.0, &partial, &mut expect);
+                partial_loss += loss;
+                axpy(1.0, &g, &mut partial);
             }
-            // Rows on both sides of the bound, and of every per-layer norm.
-            assert!(0 < unclipped && unclipped < xs.len(), "{clipping:?}");
-            assert!(
-                sides.iter().all(|&(above, within)| above > 0 && within > 0),
-                "{clipping:?}: {sides:?}"
-            );
-            assert_eq!(out.unclipped, unclipped, "{clipping:?}");
-            assert_eq!(
-                out.loss_total.to_bits(),
-                loss_total.to_bits(),
-                "{clipping:?}"
-            );
-            for (i, (a, e)) in out.clean_sum.iter().zip(&expect).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    e.to_bits(),
-                    "{clipping:?} clean_sum[{i}]: {a} vs {e}"
-                );
-            }
+            loss_total += partial_loss;
+            axpy(1.0, &partial, &mut expect);
+        }
+        // Rows on both sides of the bound.
+        assert!(0 < unclipped && unclipped < xs.len(), "{unclipped}");
+        assert_eq!(out.unclipped, unclipped);
+        assert_eq!(out.loss_total.to_bits(), loss_total.to_bits());
+        for (i, (a, e)) in out.clean_sum.iter().zip(&expect).enumerate() {
+            assert_eq!(a.to_bits(), e.to_bits(), "clean_sum[{i}]: {a} vs {e}");
         }
     }
 
@@ -511,16 +423,14 @@ mod tests {
         // Repeats and an order that is not ascending: the draw order is
         // the summation order, with no chunk partials.
         let (model, xs, ys) = setup(CLIP_CHUNK + 9);
-        let clipping = ClippingStrategy::PerLayer(vec![0.4, 0.3]);
-        let layout = model.param_layout();
+        let c = 0.4;
         let drawn = [20, 3, 3, 17, 0, 24, 9, 11, 5, 6, 7, 8, 1, 2, 4, 10, 12, 13];
-        let out =
-            exec(ComputeMode::F64, 4).clip_sum(&model, &xs, &ys, Batch::Drawn(&drawn), &clipping);
+        let out = exec(ComputeMode::F64, 4).clip_sum(&model, &xs, &ys, Batch::Drawn(&drawn), c);
         let mut expect = vec![0.0; model.param_count()];
         let mut loss_total = 0.0;
         for &i in &drawn {
             let (loss, mut g) = model.per_example_grad_scalar(&xs[i], ys[i]);
-            clipping.clip(&mut g, &layout);
+            clip_to_norm(&mut g, c);
             loss_total += loss;
             axpy(1.0, &g, &mut expect);
         }
@@ -528,8 +438,7 @@ mod tests {
         for (a, e) in out.clean_sum.iter().zip(&expect) {
             assert_eq!(a.to_bits(), e.to_bits());
         }
-        let empty =
-            exec(ComputeMode::F32, 1).clip_sum(&model, &xs, &ys, Batch::Drawn(&[]), &clipping);
+        let empty = exec(ComputeMode::F32, 1).clip_sum(&model, &xs, &ys, Batch::Drawn(&[]), c);
         assert!(empty.clean_sum.iter().all(|&v| v == 0.0));
         assert_eq!((empty.loss_total, empty.unclipped), (0.0, 0));
     }
@@ -537,12 +446,10 @@ mod tests {
     #[test]
     fn full_batch_is_bit_identical_across_thread_counts() {
         let (model, xs, ys) = setup(CLIP_CHUNK * 3 + 2);
-        let clipping = ClippingStrategy::Flat(0.5);
         for compute in [ComputeMode::F64, ComputeMode::F32] {
-            let serial = exec(compute, 1).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+            let serial = exec(compute, 1).clip_sum(&model, &xs, &ys, Batch::Full, 0.5);
             for threads in [2, 4, 0] {
-                let parallel =
-                    exec(compute, threads).clip_sum(&model, &xs, &ys, Batch::Full, &clipping);
+                let parallel = exec(compute, threads).clip_sum(&model, &xs, &ys, Batch::Full, 0.5);
                 assert_same_bits(&parallel, &serial);
             }
         }
@@ -551,11 +458,10 @@ mod tests {
     #[test]
     fn f32_tracks_f64_within_tolerance_for_both_batch_kinds() {
         let (model, xs, ys) = setup(CLIP_CHUNK * 2 + 3);
-        let clipping = ClippingStrategy::Flat(0.7);
         let drawn: Vec<usize> = (0..xs.len()).rev().step_by(2).collect();
         for batch in [Batch::Full, Batch::Drawn(&drawn)] {
-            let oracle = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, batch, &clipping);
-            let f32_out = exec(ComputeMode::F32, 1).clip_sum(&model, &xs, &ys, batch, &clipping);
+            let oracle = exec(ComputeMode::F64, 1).clip_sum(&model, &xs, &ys, batch, 0.7);
+            let f32_out = exec(ComputeMode::F32, 1).clip_sum(&model, &xs, &ys, batch, 0.7);
             assert!((oracle.loss_total - f32_out.loss_total).abs() < 1e-3 * xs.len() as f64);
             for (i, (a, b)) in oracle.clean_sum.iter().zip(&f32_out.clean_sum).enumerate() {
                 let tol = 1e-4 * xs.len() as f64 + 1e-3 * a.abs();

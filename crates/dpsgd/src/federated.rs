@@ -22,15 +22,14 @@ use dpaudit_nn::Sequential;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::clip::ClippingStrategy;
 use crate::config::ComputeMode;
 use crate::exec::{Batch, StepExec};
 
 /// Configuration of a federated DPSGD run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FederatedConfig {
-    /// Per-example clipping strategy applied inside every client.
-    pub clipping: ClippingStrategy,
+    /// Per-example clip norm `C` applied inside every client.
+    pub clip_norm: f64,
     /// Learning rate applied to the mean perturbed gradient.
     pub learning_rate: f64,
     /// Number of federated rounds.
@@ -48,14 +47,12 @@ impl FederatedConfig {
     /// Construct with validation.
     ///
     /// # Panics
-    /// Panics on invalid norms, rate, rounds or noise multiplier.
-    pub fn new(
-        clipping: ClippingStrategy,
-        learning_rate: f64,
-        rounds: usize,
-        noise_multiplier: f64,
-    ) -> Self {
-        clipping.total_bound();
+    /// Panics on an invalid clip norm, rate, rounds or noise multiplier.
+    pub fn new(clip_norm: f64, learning_rate: f64, rounds: usize, noise_multiplier: f64) -> Self {
+        assert!(
+            clip_norm.is_finite() && clip_norm > 0.0,
+            "FederatedConfig: clip norm must be positive"
+        );
         assert!(
             learning_rate > 0.0,
             "FederatedConfig: learning rate must be positive"
@@ -66,7 +63,7 @@ impl FederatedConfig {
             "FederatedConfig: noise multiplier must be positive"
         );
         Self {
-            clipping,
+            clip_norm,
             learning_rate,
             rounds,
             noise_multiplier,
@@ -125,8 +122,7 @@ pub fn train_federated<R: Rng + ?Sized>(
     let total_records: usize = clients.iter().map(Dataset::len).sum();
     assert!(total_records > 0, "train_federated: all shards are empty");
     let dim = model.param_count();
-    let bound = cfg.clipping.total_bound();
-    let sigma = cfg.noise_multiplier * bound;
+    let sigma = cfg.noise_multiplier * cfg.clip_norm;
     let exec = StepExec::new(ComputeMode::F64);
     let mut gauss = GaussianSampler::new();
     let mut accountant = RdpAccountant::new();
@@ -141,7 +137,7 @@ pub fn train_federated<R: Rng + ?Sized>(
         let mut clean_total = vec![0.0; dim];
         let mut loss_total = 0.0;
         for shard in clients {
-            let clipped = exec.clip_sum(model, &shard.xs, &shard.ys, Batch::Full, &cfg.clipping);
+            let clipped = exec.clip_sum(model, &shard.xs, &shard.ys, Batch::Full, cfg.clip_norm);
             loss_total += clipped.loss_total;
             axpy(1.0, &clipped.clean_sum, &mut clean_total);
             if cfg.retain_client_sums {
@@ -205,7 +201,7 @@ mod tests {
     }
 
     fn cfg(rounds: usize) -> FederatedConfig {
-        FederatedConfig::new(ClippingStrategy::Flat(1.0), 0.1, rounds, 2.0)
+        FederatedConfig::new(1.0, 0.1, rounds, 2.0)
     }
 
     #[test]
@@ -292,7 +288,7 @@ mod tests {
         let mut model = tiny_model(9);
         let mut losses = Vec::new();
         // Tiny noise so the learning signal dominates.
-        let c = FederatedConfig::new(ClippingStrategy::Flat(5.0), 0.4, 60, 1e-3);
+        let c = FederatedConfig::new(5.0, 0.4, 60, 1e-3);
         train_federated(&mut model, &shards, &c, &mut seeded_rng(10), |r| {
             losses.push(r.mean_loss);
         });

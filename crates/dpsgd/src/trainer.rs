@@ -5,10 +5,9 @@ use dpaudit_nn::Sequential;
 use dpaudit_obs as obs;
 use rand::Rng;
 
-use crate::clip::ClippingStrategy;
+use crate::clip::clipped_gradient;
 use crate::config::DpsgdConfig;
 use crate::exec::{Batch, StepExec};
-use crate::optimizer::OptimizerState;
 use crate::pair::NeighborPair;
 use crate::transcript::{StepRecord, Transcript};
 
@@ -25,9 +24,6 @@ use crate::transcript::{StepRecord, Transcript};
 ///   the released model state.
 /// * The differing-record gradients `ḡ_i(x̂₁)`, `ḡ_i(x̂₂)` are evaluated at
 ///   the same state, so `L̂S_ĝᵢ` follows Eqs. 17/18 exactly.
-/// * With adaptive clipping (§7 extension) the clip norm evolves as a
-///   deterministic function of released quantities plus the unclipped
-///   fraction, and the per-step bound in force is part of the record.
 pub fn train_dpsgd<R: Rng + ?Sized>(
     model: &mut Sequential,
     pair: &NeighborPair,
@@ -132,14 +128,9 @@ fn run_steps<R: Rng + ?Sized>(
     let data = pair.trained_dataset(train_on_d);
     assert!(!data.is_empty(), "{name}: empty training set");
     let public_n = pair.d.len() as f64;
-    let layout = model.param_layout();
+    let c = cfg.clip_norm;
     let mut gauss = GaussianSampler::new();
     let exec = StepExec::new(cfg.compute);
-
-    // The clipping strategy in force; adaptive clipping mutates the flat
-    // norm between steps.
-    let mut clipping = cfg.clipping.clone();
-    let mut optimizer = OptimizerState::new(cfg.optimizer, model.param_count());
 
     for step in 0..cfg.steps {
         let drawn: Vec<usize>;
@@ -157,10 +148,9 @@ fn run_steps<R: Rng + ?Sized>(
                 (Batch::Drawn(&drawn), drawn.len())
             }
         };
-        let bound = clipping.total_bound();
 
         let clip_span = obs::span(obs::names::CLIP_SPAN);
-        let clipped = exec.clip_sum(model, &data.xs, &data.ys, batch, &clipping);
+        let clipped = exec.clip_sum(model, &data.xs, &data.ys, batch, c);
         drop(clip_span);
 
         let noise_span = obs::span(obs::names::NOISE_SPAN);
@@ -168,23 +158,21 @@ fn run_steps<R: Rng + ?Sized>(
         // for the adversary's hypothesis centers (batch-conditional under
         // Poisson sampling) and the local-sensitivity estimate.
         let (x1, y1) = pair.x1();
-        let (_, mut grad_x1) = model.per_example_grad(x1, y1);
-        clipping.clip(&mut grad_x1, &layout);
-        let grad_x2 = pair.x2.as_ref().map(|(x2, y2)| {
-            let (_, mut g) = model.per_example_grad(x2, *y2);
-            clipping.clip(&mut g, &layout);
-            g
-        });
+        let (_, grad_x1) = clipped_gradient(model, x1, y1, c);
+        let grad_x2 = pair
+            .x2
+            .as_ref()
+            .map(|(x2, y2)| clipped_gradient(model, x2, *y2, c).1);
         let local_sensitivity = match &grad_x2 {
             Some(g2) => l2_distance(&grad_x1, g2),
             None => l2_norm(&grad_x1),
         };
 
         let (sensitivity_used, divisor) = match sampling {
-            Sampling::FullBatch => (cfg.sensitivity_for_step(local_sensitivity, bound), public_n),
+            Sampling::FullBatch => (cfg.sensitivity_for_step(local_sensitivity), public_n),
             // σ = z·C: the add/remove sensitivity the subsampled accountant
             // assumes (see `train_dpsgd_subsampled`).
-            Sampling::Poisson { q, .. } => (bound, (q * public_n).max(1.0)),
+            Sampling::Poisson { q, .. } => (c, (q * public_n).max(1.0)),
         };
         let sigma = cfg.noise_multiplier * sensitivity_used;
 
@@ -195,17 +183,10 @@ fn run_steps<R: Rng + ?Sized>(
         drop(noise_span);
 
         let update_span = obs::span(obs::names::UPDATE_SPAN);
-        // θ updated from g̃ over a public divisor (see the wrappers' docs)
-        // via the configured optimizer — post-processing of the release.
+        // θ ← θ − η·g̃/divisor with a public divisor (see the wrappers'
+        // docs): post-processing of the release.
         let update: Vec<f64> = noisy_sum.iter().map(|v| v / divisor).collect();
-        optimizer.apply(model, &update, cfg.learning_rate);
-
-        // Steer the clip norm for the next step (adaptive extension).
-        if let (Some(adaptive), ClippingStrategy::Flat(c)) = (&cfg.adaptive, &mut clipping) {
-            if batch_len > 0 {
-                *c = adaptive.updated_norm(*c, clipped.unclipped as f64 / batch_len as f64);
-            }
-        }
+        model.gradient_step(&update, cfg.learning_rate);
         drop(update_span);
 
         if obs::enabled() {
@@ -231,7 +212,7 @@ fn run_steps<R: Rng + ?Sized>(
             grad_x1,
             grad_x2,
             local_sensitivity,
-            clip_bound: bound,
+            clip_bound: c,
             sensitivity_used,
             sigma,
             mean_loss: if batch_len == 0 {
@@ -263,7 +244,7 @@ pub fn train_collect<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clip::{clipped_gradient, AdaptiveClipConfig};
+    use crate::clip::clip_to_norm;
     use crate::config::SensitivityScaling;
     use dpaudit_datasets::{generate_purchase, NeighborSpec};
     use dpaudit_dp::NeighborMode;
@@ -360,7 +341,7 @@ mod tests {
         let t = train_collect(&mut model, &pair, true, &c, &mut seeded_rng(8));
         for s in &t.steps {
             // ‖ḡ(x̂₁) − ḡ(x̂₂)‖ ≤ 2C by the triangle inequality.
-            assert!(s.local_sensitivity <= 2.0 * c.clip_bound() + 1e-9);
+            assert!(s.local_sensitivity <= 2.0 * c.clip_norm + 1e-9);
         }
     }
 
@@ -392,7 +373,7 @@ mod tests {
             let (_, cdp) = r.hypothesis_centers(true, NeighborMode::Bounded);
             let mut direct = vec![0.0; state.param_count()];
             for (x, &y) in pair.d_prime.xs.iter().zip(&pair.d_prime.ys) {
-                let (_, g) = clipped_gradient(state, x, y, c.clip_bound());
+                let (_, g) = clipped_gradient(state, x, y, c.clip_norm);
                 axpy(1.0, &g, &mut direct);
             }
             let err = l2_distance(&cdp, &direct);
@@ -438,67 +419,6 @@ mod tests {
         );
         let s = &t.steps[0];
         assert!(l2_distance(&s.noisy_sum, &s.clean_sum) > 0.0);
-    }
-
-    #[test]
-    fn adaptive_clipping_moves_the_bound() {
-        let (mut model, pair) = tiny_setup(15);
-        let c = cfg(SensitivityScaling::Global).with_adaptive(AdaptiveClipConfig::new(0.5, 0.5));
-        let t = train_collect(&mut model, &pair, true, &c, &mut seeded_rng(16));
-        let bounds: Vec<f64> = t.steps.iter().map(|s| s.clip_bound).collect();
-        assert_eq!(bounds[0], 1.0);
-        // The bound must actually evolve across steps.
-        assert!(
-            bounds.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-12),
-            "{bounds:?}"
-        );
-        // And σ follows the evolving GS = 2·bound.
-        for s in &t.steps {
-            assert!((s.sigma - 2.0 * 2.0 * s.clip_bound).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn per_layer_clipping_bounds_each_segment() {
-        let (model0, pair) = tiny_setup(17);
-        let layout = model0.param_layout();
-        assert_eq!(layout.len(), 2);
-        let c = DpsgdConfig::with_clipping(
-            ClippingStrategy::PerLayer(vec![0.5, 0.25]),
-            0.05,
-            3,
-            NeighborMode::Bounded,
-            2.0,
-            SensitivityScaling::Local,
-        );
-        let mut model = model0.clone();
-        let t = train_collect(&mut model, &pair, true, &c, &mut seeded_rng(18));
-        for s in &t.steps {
-            // The stored differing-record gradient obeys per-layer bounds.
-            assert!(l2_norm(&s.grad_x1[..layout[0]]) <= 0.5 + 1e-9);
-            assert!(l2_norm(&s.grad_x1[layout[0]..]) <= 0.25 + 1e-9);
-            assert_eq!(s.clip_bound, c.clip_bound());
-        }
-    }
-
-    #[test]
-    fn adam_changes_weights_but_not_first_release() {
-        // Adam is post-processing: with the same seed, the *first* released
-        // noisy gradient is identical to the SGD run (same model state,
-        // same noise), while the weight trajectories then diverge.
-        let (model, pair) = tiny_setup(19);
-        let mut sgd_cfg = cfg(SensitivityScaling::Global);
-        sgd_cfg.optimizer = crate::optimizer::Optimizer::Sgd;
-        let mut adam_cfg = cfg(SensitivityScaling::Global);
-        adam_cfg.optimizer = crate::optimizer::Optimizer::adam();
-        let mut m1 = model.clone();
-        let mut m2 = model.clone();
-        let t_sgd = train_collect(&mut m1, &pair, true, &sgd_cfg, &mut seeded_rng(20));
-        let t_adam = train_collect(&mut m2, &pair, true, &adam_cfg, &mut seeded_rng(20));
-        assert_eq!(t_sgd.steps[0].noisy_sum, t_adam.steps[0].noisy_sum);
-        assert_ne!(m1.params(), m2.params());
-        // Later releases differ because the weight paths diverged.
-        assert_ne!(t_sgd.steps[4].clean_sum, t_adam.steps[4].clean_sum);
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -590,7 +510,6 @@ mod tests {
         // Replay the sampling stream and the public SGD update.
         let mut replay = model0;
         let mut sample_rng = seeded_rng(35);
-        let layout = replay.param_layout();
         let divisor = q * pair.d.len() as f64;
         let mut largest_draw = 0;
         for r in &records {
@@ -600,7 +519,7 @@ mod tests {
             let mut expect = vec![0.0; replay.param_count()];
             for &i in &drawn {
                 let (_, mut g) = replay.per_example_grad_scalar(&pair.d.xs[i], pair.d.ys[i]);
-                c.clipping.clip(&mut g, &layout);
+                clip_to_norm(&mut g, c.clip_norm);
                 axpy(1.0, &g, &mut expect);
             }
             assert_eq!(bits(&r.clean_sum), bits(&expect), "step {}", r.step);

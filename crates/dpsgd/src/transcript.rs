@@ -27,8 +27,8 @@ pub struct StepRecord {
     pub grad_x2: Option<Vec<f64>>,
     /// Estimated local sensitivity L̂S_ĝᵢ at this step (Eqs. 17/18).
     pub local_sensitivity: f64,
-    /// Per-example clip bound in force at this step (constant unless
-    /// adaptive clipping is enabled).
+    /// Per-example clip bound in force at this step: the run's clip norm
+    /// `C` at every step (kept for the transcript format).
     pub clip_bound: f64,
     /// The Δf the noise was actually scaled to.
     pub sensitivity_used: f64,

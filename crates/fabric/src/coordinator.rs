@@ -171,8 +171,9 @@ impl Coordinator {
     ///
     /// # Errors
     /// `InvalidInput`, before any file is created, for a bad id or a header
-    /// no worker can run (`check_runnable`: reps or steps out of bounds, a
-    /// removed backend), `AlreadyExists` for a duplicate id,
+    /// no worker can run (`check_runnable`: reps, steps or train size out
+    /// of bounds, invalid trial settings, a removed backend),
+    /// `AlreadyExists` for a duplicate id,
     /// `InvalidData` (file untouched) for a store of another header or one
     /// the reading rule refuses, I/O errors from the store.
     pub fn submit_job(&self, job: &str, header: StoreHeader) -> std::io::Result<usize> {
@@ -1050,6 +1051,10 @@ mod tests {
         let huge_reps = toy_header(dpaudit_runtime::MAX_REPS + 1);
         let mut huge_steps = toy_header(2);
         huge_steps.settings.dpsgd.steps = dpaudit_runtime::MAX_STEPS + 1;
+        let mut huge_world = toy_header(2);
+        huge_world.train_size = dpaudit_runtime::MAX_TRAIN_SIZE + 1;
+        let mut noiseless = toy_header(2);
+        noiseless.settings.dpsgd.noise_multiplier = 0.0;
         for (job, header, message) in [
             ("a-blas", blas, "backend `blas` was removed"),
             (
@@ -1061,6 +1066,16 @@ mod tests {
                 "a-steps",
                 huge_steps,
                 "steps 1048577 is outside the bound 1..=1048576",
+            ),
+            (
+                "a-world",
+                huge_world,
+                "train_size 16385 is outside the bound 1..=16384",
+            ),
+            (
+                "a-noiseless",
+                noiseless,
+                "invalid trial settings: noise multiplier must be positive, got 0",
             ),
         ] {
             let submission = crate::protocol::JobSubmission {

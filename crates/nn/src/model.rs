@@ -31,8 +31,7 @@ impl Sequential {
     }
 
     /// Per-layer parameter counts in flat-vector order, with zero-parameter
-    /// layers (ReLU, pooling, flatten) omitted. This is the segmentation
-    /// per-layer gradient clipping operates on.
+    /// layers (ReLU, pooling, flatten) omitted.
     pub fn param_layout(&self) -> Vec<usize> {
         self.layers
             .iter()

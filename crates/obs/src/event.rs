@@ -107,7 +107,7 @@ pub mod names {
     pub const CLIP_CHUNK_SPAN: &str = "dpsgd.clip_chunk";
     /// Span: per-step sensitivity estimation + Gaussian perturbation.
     pub const NOISE_SPAN: &str = "dpsgd.noise";
-    /// Span: per-step optimizer update (+ adaptive-clip steering).
+    /// Span: per-step SGD update of the weights.
     pub const UPDATE_SPAN: &str = "dpsgd.update";
     /// Span: posterior belief update over one released gradient.
     pub const BELIEF_SPAN: &str = "adversary.belief_update";

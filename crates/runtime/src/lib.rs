@@ -43,5 +43,5 @@ pub use report::{render_partial, render_report, replay_store, StoreReport};
 pub use session::{check_runnable, AuditSession, RunOutcome};
 pub use store::{
     read_store, Seed, StoreContents, StoreHeader, TrialRecord, TrialStore, MAX_REPS, MAX_STEPS,
-    SCHEMA_VERSION,
+    MAX_TRAIN_SIZE, SCHEMA_VERSION,
 };

@@ -20,7 +20,9 @@
 use crate::aggregate::{StreamingAggregates, TrialOutcome};
 use crate::executor::{run_trials, ExecPlan, Parallelism};
 use crate::progress::{Progress, ProgressMeter};
-use crate::store::{read_store, StoreHeader, TrialRecord, TrialStore, MAX_REPS, MAX_STEPS};
+use crate::store::{
+    read_store, StoreHeader, TrialRecord, TrialStore, MAX_REPS, MAX_STEPS, MAX_TRAIN_SIZE,
+};
 use dpaudit_core::{AuditReport, MaxBeliefEstimator};
 use dpaudit_datasets::Dataset;
 use dpaudit_dpsgd::NeighborPair;
@@ -50,11 +52,13 @@ pub struct AuditSession {
     missing: Vec<usize>,
 }
 
-/// The one runnable-header check: reject a header whose `reps` or `steps`
-/// is zero or above its bound ([`MAX_REPS`], [`MAX_STEPS`]), or whose
-/// recorded compute backend this binary cannot run, *before* any trial runs
-/// or any store byte is written. Store readers never call it, so old stores
-/// still report.
+/// The one runnable-header check: reject a header whose `reps`, `steps` or
+/// `train_size` is zero or above its bound ([`MAX_REPS`], [`MAX_STEPS`],
+/// [`MAX_TRAIN_SIZE`]), whose trial settings the builder would refuse
+/// ([`TrialSettings::check`](dpaudit_core::TrialSettings::check)), or
+/// whose recorded compute backend this binary cannot run, *before* any
+/// trial runs or any store byte is written. Store readers never call it,
+/// so old stores still report.
 ///
 /// Trial records are a pure function of the seeds **and** the backend's
 /// floating-point accumulation order, so running a `blas` store's missing
@@ -63,26 +67,32 @@ pub struct AuditSession {
 /// can tell a removed backend from a corrupt store.
 ///
 /// # Errors
-/// `InvalidInput` naming the field and its bound, or the removed backend.
+/// `InvalidInput` naming the field and its bound, the invalid setting, or
+/// the removed backend.
 pub fn check_runnable(header: &StoreHeader) -> std::io::Result<()> {
+    let invalid = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
     let steps = header.settings.dpsgd.steps;
-    for (field, value, max) in [("reps", header.reps, MAX_REPS), ("steps", steps, MAX_STEPS)] {
+    for (field, value, max) in [
+        ("reps", header.reps, MAX_REPS),
+        ("steps", steps, MAX_STEPS),
+        ("train_size", header.train_size, MAX_TRAIN_SIZE),
+    ] {
         if !(1..=max).contains(&value) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("header {field} {value} is outside the bound 1..={max}"),
-            ));
+            return Err(invalid(format!(
+                "header {field} {value} is outside the bound 1..={max}"
+            )));
         }
     }
+    header
+        .settings
+        .check()
+        .map_err(|e| invalid(format!("header {e}")))?;
     header.settings.dpsgd.backend.resolve().map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!(
-                "store (schema v{}): {e}; its trials would not be bit-identical \
-                 on another backend",
-                header.schema_version,
-            ),
-        )
+        invalid(format!(
+            "store (schema v{}): {e}; its trials would not be bit-identical \
+             on another backend",
+            header.schema_version,
+        ))
     })?;
     Ok(())
 }
@@ -254,7 +264,7 @@ mod tests {
     use super::*;
     use crate::store::{Seed, SCHEMA_VERSION};
     use crate::testkit;
-    use dpaudit_core::{rho_beta, LocalSensitivityEstimator, RecordDetail};
+    use dpaudit_core::{rho_beta, LocalSensitivityEstimator, RecordDetail, Sampling};
 
     fn toy_header(reps: usize, detail: RecordDetail) -> StoreHeader {
         StoreHeader {
@@ -390,6 +400,59 @@ mod tests {
             let err = check_runnable(&header).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
             assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn invalid_settings_and_oversize_worlds_are_not_runnable() {
+        // Headers the builder would refuse. Run, each panicked in the
+        // trainer, the adversary or the ε′ estimator, except the negative
+        // learning rate, which ran and reported.
+        let edited = |edit: fn(&mut StoreHeader)| {
+            let mut header = toy_header(2, RecordDetail::Summary);
+            edit(&mut header);
+            header
+        };
+        check_runnable(&edited(|h| h.train_size = MAX_TRAIN_SIZE))
+            .expect("the bound itself is runnable");
+        for (header, message) in [
+            (
+                edited(|h| h.settings.dpsgd.noise_multiplier = 0.0),
+                "header invalid trial settings: noise multiplier must be positive, got 0",
+            ),
+            (
+                edited(|h| h.settings.dpsgd.noise_multiplier = -2.0),
+                "noise multiplier must be positive, got -2",
+            ),
+            (
+                edited(|h| h.settings.dpsgd.clip_norm = 0.0),
+                "clip norm must be positive, got 0",
+            ),
+            (
+                edited(|h| h.settings.dpsgd.ls_floor = 0.0),
+                "ls floor must be positive, got 0",
+            ),
+            (
+                edited(|h| h.settings.dpsgd.learning_rate = -1.0),
+                "learning rate must be positive, got -1",
+            ),
+            (
+                edited(|h| h.settings.sampling = Sampling::Poisson { q: 1.5 }),
+                "poisson sampling rate must be in (0, 1), got 1.5",
+            ),
+            (
+                edited(|h| h.settings.sampling = Sampling::Poisson { q: 0.0 }),
+                "poisson sampling rate must be in (0, 1), got 0",
+            ),
+            (
+                edited(|h| h.train_size = MAX_TRAIN_SIZE + 1),
+                "train_size 16385 is outside the bound 1..=16384",
+            ),
+            (edited(|h| h.train_size = 0), "train_size 0 is outside"),
+        ] {
+            let err = check_runnable(&header).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(message), "{err}");
         }
     }
 

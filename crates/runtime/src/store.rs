@@ -54,6 +54,12 @@ pub const MAX_REPS: usize = 1 << 20;
 /// paper's k = 30. [`crate::check_runnable`] refuses to run more.
 pub const MAX_STEPS: usize = 1 << 20;
 
+/// The largest training set a header may build its world from: 2^14,
+/// above the paper's largest |D| of 10 000 (Fig. 7).
+/// [`crate::check_runnable`] refuses a larger one before the world is
+/// built.
+pub const MAX_TRAIN_SIZE: usize = 1 << 14;
+
 /// A full-width `u64` seed, serialised as a decimal string so it survives
 /// the f64-backed JSON number model losslessly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -38,7 +38,7 @@ fn main() {
         ("strong privacy (z = 15)", 15.0),
         ("negligible noise (z = 0.01)", 0.01),
     ] {
-        let cfg = FederatedConfig::new(ClippingStrategy::Flat(3.0), 0.1, 60, z);
+        let cfg = FederatedConfig::new(3.0, 0.1, 60, z);
         let mut model = purchase_mlp(&mut seeded_rng(1));
         let mut last_loss = f64::NAN;
         let outcome = train_federated(&mut model, &shards, &cfg, &mut seeded_rng(2), |round| {

@@ -64,9 +64,8 @@ pub mod prelude {
         NeighborMode, NoiseCalibration, NoisePlan, RdpAccountant,
     };
     pub use dpaudit_dpsgd::{
-        train_collect, train_dpsgd, train_dpsgd_subsampled, train_federated, AdaptiveClipConfig,
-        ClippingStrategy, DpsgdConfig, FederatedConfig, NeighborPair, SensitivityScaling,
-        Transcript,
+        train_collect, train_dpsgd, train_dpsgd_subsampled, train_federated, DpsgdConfig,
+        FederatedConfig, NeighborPair, SensitivityScaling, Transcript,
     };
     pub use dpaudit_math::{seeded_rng, split_seed};
     pub use dpaudit_nn::{mnist_cnn, purchase_mlp, Sequential};

@@ -1,10 +1,11 @@
 //! Integration tests for the extension features (DESIGN.md "optional /
 //! future-work" items): the analytic Gaussian mechanism, KOV optimal
-//! composition, per-layer and adaptive clipping, DP-Adam, the federated and
-//! Poisson-subsampled trainers, and the scalar-query experiment — all exercised
-//! through the umbrella crate's public API.
+//! composition, the federated and Poisson-subsampled trainers, and the
+//! scalar-query experiment — plus the one DPSGD step rule's configuration
+//! (one flat clip norm, plain SGD) as store headers record it — all
+//! exercised through the umbrella crate's public API.
 
-use dp_identifiability::dpsgd::{train_federated, Optimizer};
+use dp_identifiability::dpsgd::train_federated;
 use dp_identifiability::prelude::*;
 
 #[test]
@@ -34,63 +35,83 @@ fn kov_frontier_integrates_with_rho_beta() {
     assert!(rho_beta(kov_eps) < rho_beta(naive_eps));
 }
 
+/// The trial settings of a store header written before the step rule
+/// became constant, copied byte for byte from the header of `dpaudit audit
+/// run --workload purchase --reps 4 --steps 3 --train-size 30`.
+const LEGACY_SETTINGS: &str = r#"{"dpsgd":{"clipping":{"Flat":3},"adaptive":null,"learning_rate":0.005,"steps":3,"mode":"Bounded","noise_multiplier":2.649964483411831,"scaling":"Local","optimizer":"Sgd","ls_floor":0.000003,"compute":"F64","backend":"Native"},"challenge":"RandomBit","adversary":"GaussianBelief","sampling":"FullBatch"}"#;
+
 #[test]
-fn per_layer_clipping_runs_the_reference_mlp() {
-    let mut rng = seeded_rng(1);
-    let data = generate_purchase(&mut rng, 20);
-    let target = dataset_sensitivity_unbounded(&data, &Hamming);
-    let pair = NeighborPair::from_spec(&data, &target.spec);
-    let mut model = purchase_mlp(&mut rng);
-    let layout = model.param_layout();
-    assert_eq!(layout.len(), 2); // two dense layers carry parameters
-    let cfg = dp_identifiability::dpsgd::DpsgdConfig::with_clipping(
-        ClippingStrategy::PerLayer(vec![2.0, 1.0]),
-        0.005,
-        2,
-        NeighborMode::Unbounded,
-        5.0,
-        SensitivityScaling::Local,
-    );
-    let t = dp_identifiability::dpsgd::train_collect(&mut model, &pair, true, &cfg, &mut rng);
-    let bound = (2.0f64 * 2.0 + 1.0).sqrt();
-    assert!((cfg.clip_bound() - bound).abs() < 1e-12);
-    for s in &t.steps {
-        assert!(dp_identifiability::math::l2_norm(&s.grad_x1) <= bound + 1e-9);
+fn dpsgd_config_keeps_legacy_header_bytes_and_refuses_removed_options() {
+    let settings = TrialSettings::builder()
+        .clip_norm(3.0)
+        .learning_rate(0.005)
+        .steps(3)
+        .mode(NeighborMode::Bounded)
+        .noise_multiplier(2.649964483411831)
+        .scaling(SensitivityScaling::Local)
+        .build()
+        .expect("valid trial settings");
+    assert_eq!(serde_json::to_string(&settings).unwrap(), LEGACY_SETTINGS);
+    let parsed: TrialSettings = serde_json::from_str(LEGACY_SETTINGS).unwrap();
+    assert_eq!(parsed, settings);
+
+    // A record of another step rule would run different trials under the
+    // same header: it is refused, naming the option.
+    for (from, to, named) in [
+        (
+            r#"{"Flat":3}"#,
+            r#"{"PerLayer":[2,1]}"#,
+            "per-layer clipping was removed",
+        ),
+        (
+            r#""adaptive":null"#,
+            r#""adaptive":{"target_quantile":0.5,"learning_rate":0.2}"#,
+            "adaptive clipping was removed",
+        ),
+        (
+            r#""Sgd""#,
+            r#"{"Adam":{"beta1":0.9,"beta2":0.999,"eps":1e-8}}"#,
+            "Adam optimizer was removed",
+        ),
+    ] {
+        let edited = LEGACY_SETTINGS.replace(from, to);
+        assert_ne!(edited, LEGACY_SETTINGS);
+        let err = serde_json::from_str::<TrialSettings>(&edited)
+            .expect_err(named)
+            .to_string();
+        assert!(err.contains(named), "{err}");
     }
+
+    // Older headers without these keys read as the defaults.
+    let bare = LEGACY_SETTINGS
+        .replace(r#","optimizer":"Sgd""#, "")
+        .replace(r#","compute":"F64","backend":"Native""#, "");
+    assert!(!bare.contains("optimizer") && !bare.contains("backend"));
+    let parsed: TrialSettings = serde_json::from_str(&bare).unwrap();
+    assert_eq!(parsed, settings);
 }
 
 #[test]
-fn adam_and_sgd_share_the_privacy_account() {
-    // Identical configs except the optimizer: identical σ series (privacy
-    // is untouched), different final weights (utility path differs).
-    let mut rng = seeded_rng(2);
-    let data = generate_purchase(&mut rng, 15);
-    let target = dataset_sensitivity_unbounded(&data, &Hamming);
-    let pair = NeighborPair::from_spec(&data, &target.spec);
-    let mut cfg = dp_identifiability::dpsgd::DpsgdConfig::new(
-        3.0,
-        0.01,
-        3,
-        NeighborMode::Unbounded,
-        2.0,
-        SensitivityScaling::Global,
+#[should_panic(expected = "learning rate must be positive")]
+fn dpsgd_config_new_refuses_what_the_builder_refuses() {
+    let err = TrialSettings::builder()
+        .learning_rate(f64::INFINITY)
+        .build()
+        .expect_err("the builder refuses an infinite learning rate");
+    // `{err}` alone as the message: a failing check here must not print
+    // the text `new` is expected to panic with.
+    assert!(
+        err.to_string().contains("learning rate must be positive"),
+        "{err}"
     );
-    let run = |cfg: &dp_identifiability::dpsgd::DpsgdConfig| {
-        let mut model = purchase_mlp(&mut seeded_rng(3));
-        let t = dp_identifiability::dpsgd::train_collect(
-            &mut model,
-            &pair,
-            true,
-            cfg,
-            &mut seeded_rng(4),
-        );
-        (t.sigmas(), model.params())
-    };
-    let (sigmas_sgd, params_sgd) = run(&cfg);
-    cfg.optimizer = Optimizer::adam();
-    let (sigmas_adam, params_adam) = run(&cfg);
-    assert_eq!(sigmas_sgd, sigmas_adam);
-    assert_ne!(params_sgd, params_adam);
+    DpsgdConfig::new(
+        3.0,
+        f64::INFINITY,
+        3,
+        NeighborMode::Bounded,
+        1.0,
+        SensitivityScaling::Local,
+    );
 }
 
 #[test]
@@ -149,7 +170,7 @@ fn federated_insider_is_the_di_adversary() {
     let (a, rest) = data.split_at(10);
     let (b, c) = rest.split_at(10);
     let shards = vec![a, b, c];
-    let cfg = FederatedConfig::new(ClippingStrategy::Flat(3.0), 0.005, 5, 10.0);
+    let cfg = FederatedConfig::new(3.0, 0.005, 5, 10.0);
     let mut model = purchase_mlp(&mut rng);
     let mut tracker = BeliefTracker::new();
     let out = train_federated(&mut model, &shards, &cfg, &mut rng, |round| {
