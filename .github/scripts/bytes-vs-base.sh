@@ -10,17 +10,19 @@
 # usage: bytes-vs-base.sh BASE_DPAUDIT HEAD_DPAUDIT [WORK_DIR]
 #
 # Covers mnist and purchase at `--threads 1`, so records land in trial
-# order, each under six flag sets: the Gaussian adversary at full batch
+# order, each under seven flag sets: the Gaussian adversary at full batch
 # (LS-scaled, GS-scaled with `--scaling gs`, and with f32 gradient storage
-# via `--compute f32`) and Poisson-sampled (`--sampling-q 0.3`), and the
-# threshold-MI adversary (`--adversary mi`), bounded at full batch (its
-# score comes from two forward-pass losses) and unbounded Poisson-sampled
-# (its reference loss is the mean loss over D′). Each base store is then
-# cut to its header and 2 records and resumed by the head at `--threads
-# 1`; the result must equal the base's full store, so a head that reads a
-# stored scaling or compute mode as another value fails. Then compares
-# `dpaudit demo` stdout for both workloads at `--reps 4 --steps 3`. Exits 1
-# if any pair of stores, reports, resumed stores or demo outputs differs.
+# via `--compute f32`) and Poisson-sampled (`--sampling-q 0.3`, in f64 and
+# with `--compute f32`: f32 records of a Poisson draw, whose ε′ comes from
+# the subsampled-Gaussian accountant), and the threshold-MI adversary
+# (`--adversary mi`), bounded at full batch (its score comes from two
+# forward-pass losses) and unbounded Poisson-sampled (its reference loss is
+# the mean loss over D′). Each base store is then cut to its header and 2
+# records and resumed by the head at `--threads 1`; the result must equal
+# the base's full store, so a head that reads a stored scaling or compute
+# mode as another value fails. Then compares `dpaudit demo` stdout for
+# both workloads at `--reps 4 --steps 3`. Exits 1 if any pair of stores,
+# reports, resumed stores or demo outputs differs.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -61,6 +63,7 @@ variants=(
   "gaussian_gs:--scaling gs"
   "gaussian_f32:--compute f32"
   "gaussian_q0.3:--sampling-q 0.3"
+  "gaussian_f32_q0.3:--compute f32 --sampling-q 0.3"
   "mi_full:--adversary mi"
   "mi_unbounded_q0.3:--adversary mi --mode unbounded --sampling-q 0.3"
 )

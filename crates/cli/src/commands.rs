@@ -172,7 +172,7 @@ fn cmd_calibrate(opts: &Opts) -> Result<String, String> {
 
 fn cmd_compose(opts: &Opts) -> Result<String, String> {
     let z = opts.f64_req("noise-multiplier")?;
-    let steps = opts.count_or("steps", 1, usize::MAX)?;
+    let steps = opts.count_or("steps", 1, MAX_STEPS)?;
     let delta = opts.f64_req("delta")?;
     let q = opts.f64_opt("sampling-rate")?;
     if z <= 0.0 || !(0.0..1.0).contains(&delta) || delta == 0.0 {
@@ -185,9 +185,7 @@ fn cmd_compose(opts: &Opts) -> Result<String, String> {
             if !(0.0..=1.0).contains(&q) || q == 0.0 {
                 return Err("--sampling-rate must be in (0, 1]".into());
             }
-            for _ in 0..steps {
-                acc.add_subsampled_gaussian_step(q, z);
-            }
+            acc.add_subsampled_gaussian_steps(q, z, steps);
         }
     }
     let (eps, order) = acc.epsilon(delta);
@@ -667,6 +665,7 @@ mod tests {
         assert!(report.contains("trial"), "{report}");
         assert!(report.contains("trials/s"), "{report}");
         assert!(report.contains("histogram di.belief"), "{report}");
+        assert!(report.contains("dp.eps_ls"), "{report}");
         std::fs::remove_file(&trace_path).ok();
         std::fs::remove_file(&trace_path_4).ok();
     }
@@ -1080,7 +1079,7 @@ mod tests {
         // event out of a metrics sink another test installs.
         let _quiet = dpaudit_obs::install(std::sync::Arc::new(dpaudit_obs::NoopSink));
         let eps_delta = ["--eps", "1", "--delta", "1e-3"];
-        let cases: [(&[&str], &str); 18] = [
+        let cases: [(&[&str], &str); 19] = [
             (
                 &["scores", "--eps", "-1", "--delta", "1e-3"],
                 "--eps must be positive",
@@ -1149,6 +1148,18 @@ mod tests {
             ),
             (
                 &["demo", "--steps", "1048577", "--workload", "bogus"],
+                "--steps 1048577 is above the bound 1048576",
+            ),
+            (
+                &[
+                    "compose",
+                    "--noise-multiplier",
+                    "1",
+                    "--delta",
+                    "1e-3",
+                    "--steps",
+                    "1048577",
+                ],
                 "--steps 1048577 is above the bound 1048576",
             ),
         ];

@@ -79,9 +79,7 @@ pub(crate) fn header_from_opts(opts: &Opts) -> Result<StoreHeader, String> {
         Sampling::FullBatch => (row.epsilon, row.rho_beta),
         Sampling::Poisson { q } => {
             let mut accountant = RdpAccountant::new();
-            for _ in 0..steps {
-                accountant.add_subsampled_gaussian_step(q, settings.dpsgd.noise_multiplier);
-            }
+            accountant.add_subsampled_gaussian_steps(q, settings.dpsgd.noise_multiplier, steps);
             let (eps, _order) = accountant.epsilon(row.delta);
             (eps, dpaudit_core::rho_beta(eps))
         }

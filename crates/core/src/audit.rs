@@ -113,8 +113,14 @@ impl LocalSensitivityEstimator {
     /// ε′ of a single *Poisson-subsampled* trial: `steps` compositions of
     /// the subsampled Gaussian mechanism at rate `q` and noise multiplier
     /// `z`, through the same ledger (so the structured ledger telemetry
-    /// streams for mini-batch audits too). Local sensitivities play no
-    /// role — the amplification analysis is tied to the clip bound.
+    /// streams for mini-batch audits too, one event per step). Local
+    /// sensitivities play no role — the amplification analysis is tied to
+    /// the clip bound.
+    ///
+    /// The value depends only on `(q, z, steps, δ)`. The release's RDP
+    /// increment is worked out once per call and added `steps` times
+    /// ([`PrivacyLedger::add_subsampled_gaussian_steps`]), with the same
+    /// bits as recomputing it at every step.
     ///
     /// # Panics
     /// Panics on zero steps or parameters the accountant rejects
@@ -125,9 +131,7 @@ impl LocalSensitivityEstimator {
             "LocalSensitivityEstimator::per_trial_subsampled: zero steps"
         );
         let mut ledger = PrivacyLedger::new(delta);
-        for _ in 0..steps {
-            ledger.add_subsampled_gaussian_step(q, noise_multiplier);
-        }
+        ledger.add_subsampled_gaussian_steps(q, noise_multiplier, steps);
         ledger.eps_prime().0
     }
 }

@@ -34,6 +34,11 @@ pub struct LedgerEntry {
 /// An [`RdpAccountant`] that narrates itself: every composed release
 /// yields a [`LedgerEntry`] and emits a ledger event to the installed
 /// observability sink.
+///
+/// A run of identical Poisson-subsampled releases composes in one call
+/// ([`add_subsampled_gaussian_steps`](Self::add_subsampled_gaussian_steps)),
+/// which works out the release's RDP once and still narrates one entry
+/// and one event per release.
 #[derive(Debug, Clone)]
 pub struct PrivacyLedger {
     accountant: RdpAccountant,
@@ -99,12 +104,29 @@ impl PrivacyLedger {
         self.entry(local_sensitivity)
     }
 
-    /// Compose one Poisson-subsampled Gaussian release at sampling rate
-    /// `q`, attributing unit sensitivity.
-    pub fn add_subsampled_gaussian_step(&mut self, q: f64, noise_multiplier: f64) -> LedgerEntry {
-        self.accountant
-            .add_subsampled_gaussian_step(q, noise_multiplier);
-        self.entry(1.0)
+    /// Compose `k` identical Poisson-subsampled Gaussian releases at
+    /// sampling rate `q`, attributing unit sensitivity to each.
+    ///
+    /// The per-order RDP increment is computed once for the whole call
+    /// (see [`RdpAccountant::add_subsampled_gaussian_steps`]), then added
+    /// one release at a time: every release still yields its own entry and
+    /// emits its own ledger event, with the same bits as `k` separate
+    /// one-release compositions.
+    pub fn add_subsampled_gaussian_steps(
+        &mut self,
+        q: f64,
+        noise_multiplier: f64,
+        k: usize,
+    ) -> Vec<LedgerEntry> {
+        let increment = self
+            .accountant
+            .subsampled_gaussian_increment(q, noise_multiplier);
+        (0..k)
+            .map(|_| {
+                self.accountant.add_step_increment(&increment);
+                self.entry(1.0)
+            })
+            .collect()
     }
 
     /// Compose one Laplace release at noise scale `b` (relative to unit ℓ1

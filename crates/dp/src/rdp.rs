@@ -210,6 +210,15 @@ pub fn gaussian_rdp_epsilon_closed_form(noise_multiplier: f64, k: usize, delta: 
 /// An RDP accountant: tracks accumulated RDP at a grid of orders and
 /// converts to (ε, δ)-DP by minimising over the grid.
 ///
+/// `k` identical releases compose in one call:
+/// [`add_gaussian_steps`](Self::add_gaussian_steps) multiplies the
+/// closed-form increment, while
+/// [`add_subsampled_gaussian_steps`](Self::add_subsampled_gaussian_steps)
+/// computes the subsampled increment (numerical integrals included) once
+/// and adds it step by step, so its bits equal `k` one-step calls. No
+/// increment outlives its call: the accountant holds, and serialises, only
+/// its orders, its accumulated RDP and its step count.
+///
 /// ```
 /// use dpaudit_dp::RdpAccountant;
 /// let mut acc = RdpAccountant::new();
@@ -293,22 +302,50 @@ impl RdpAccountant {
         self.steps += k;
     }
 
-    /// Compose one Poisson-subsampled Gaussian release at sampling rate `q`.
-    ///
-    /// Integer orders use the exact binomial expansion; fractional orders
-    /// use the numerically integrated divergence
-    /// ([`subsampled_gaussian_rdp_numeric`]), so the whole grid stays live.
+    /// Compose one Poisson-subsampled Gaussian release at sampling rate `q`:
+    /// [`Self::add_subsampled_gaussian_steps`] with `k = 1`.
     pub fn add_subsampled_gaussian_step(&mut self, q: f64, noise_multiplier: f64) {
-        if q >= 1.0 {
-            self.add_gaussian_step(noise_multiplier);
-            return;
+        self.add_subsampled_gaussian_steps(q, noise_multiplier, 1);
+    }
+
+    /// Compose `k` identical Poisson-subsampled Gaussian releases at
+    /// sampling rate `q`.
+    ///
+    /// The per-order increment is computed once per call. Integer orders
+    /// use the exact binomial expansion; fractional orders use the
+    /// numerically integrated divergence
+    /// ([`subsampled_gaussian_rdp_numeric`]), so the whole grid stays live;
+    /// `q ≥ 1` is the full-batch [`gaussian_rdp`]. The increment is then
+    /// added `k` times, one step at a time, so every accumulated bit equals
+    /// `k` calls of [`Self::add_subsampled_gaussian_step`] (unlike
+    /// [`Self::add_gaussian_steps`], which multiplies).
+    pub fn add_subsampled_gaussian_steps(&mut self, q: f64, noise_multiplier: f64, k: usize) {
+        let increment = self.subsampled_gaussian_increment(q, noise_multiplier);
+        for _ in 0..k {
+            self.add_step_increment(&increment);
         }
-        for (r, &a) in self.rdp.iter_mut().zip(&self.orders) {
-            if a.fract() == 0.0 && a >= 2.0 {
-                *r += subsampled_gaussian_rdp_int(a as u64, q, noise_multiplier);
-            } else {
-                *r += subsampled_gaussian_rdp_numeric(a, q, noise_multiplier);
-            }
+    }
+
+    /// One Poisson-subsampled Gaussian release's RDP at every order.
+    pub(crate) fn subsampled_gaussian_increment(&self, q: f64, noise_multiplier: f64) -> Vec<f64> {
+        self.orders
+            .iter()
+            .map(|&a| {
+                if q >= 1.0 {
+                    gaussian_rdp(a, noise_multiplier)
+                } else if a.fract() == 0.0 && a >= 2.0 {
+                    subsampled_gaussian_rdp_int(a as u64, q, noise_multiplier)
+                } else {
+                    subsampled_gaussian_rdp_numeric(a, q, noise_multiplier)
+                }
+            })
+            .collect()
+    }
+
+    /// Compose one release whose RDP at every order is `increment`.
+    pub(crate) fn add_step_increment(&mut self, increment: &[f64]) {
+        for (r, &d) in self.rdp.iter_mut().zip(increment) {
+            *r += d;
         }
         self.steps += 1;
     }
@@ -482,6 +519,38 @@ mod tests {
         assert!(subsampled(0.2, 1.5, 10) < subsampled(0.2, 1.5, 40));
         // Amplification by subsampling: far below the full-batch cost.
         assert!(subsampled(0.2, 1.5, 30) < full(1.5, 30) / 2.0);
+    }
+
+    #[test]
+    fn k_subsampled_steps_equal_k_per_step_sums_bitwise() {
+        // Oracle: every step works out each order's RDP again and adds it,
+        // in step order, without the accountant's shared increment code.
+        let oracle = |q: f64, z: f64, k: usize| {
+            let mut rdp = vec![0.0; DEFAULT_ORDERS.len()];
+            for _ in 0..k {
+                for (r, &a) in rdp.iter_mut().zip(DEFAULT_ORDERS) {
+                    *r += if q >= 1.0 {
+                        gaussian_rdp(a, z)
+                    } else if a.fract() == 0.0 {
+                        subsampled_gaussian_rdp_int(a as u64, q, z)
+                    } else {
+                        subsampled_gaussian_rdp_numeric(a, q, z)
+                    };
+                }
+            }
+            rdp
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for q in [0.01, 0.2, 1.0] {
+            for z in [0.8, 9.95] {
+                for k in [1, 30] {
+                    let mut acc = RdpAccountant::new();
+                    acc.add_subsampled_gaussian_steps(q, z, k);
+                    assert_eq!(acc.steps(), k);
+                    assert_eq!(bits(acc.rdp()), bits(&oracle(q, z, k)), "q={q} z={z} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

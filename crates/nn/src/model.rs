@@ -30,16 +30,6 @@ impl Sequential {
         self.layers.iter().map(Layer::param_count).sum()
     }
 
-    /// Per-layer parameter counts in flat-vector order, with zero-parameter
-    /// layers (ReLU, pooling, flatten) omitted.
-    pub fn param_layout(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .map(Layer::param_count)
-            .filter(|&n| n > 0)
-            .collect()
-    }
-
     /// Snapshot all parameters as a flat vector.
     pub fn params(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.param_count());
@@ -324,15 +314,6 @@ mod tests {
             .map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0))
             .collect();
         Tensor::from_vec(shape, data)
-    }
-
-    #[test]
-    fn param_layout_segments_sum_to_total() {
-        let m = tiny_cnn(20);
-        let layout = m.param_layout();
-        // conv, batchnorm, dense carry parameters; relu/pool/flatten do not.
-        assert_eq!(layout.len(), 3);
-        assert_eq!(layout.iter().sum::<usize>(), m.param_count());
     }
 
     #[test]

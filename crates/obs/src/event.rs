@@ -111,6 +111,9 @@ pub mod names {
     pub const UPDATE_SPAN: &str = "dpsgd.update";
     /// Span: posterior belief update over one released gradient.
     pub const BELIEF_SPAN: &str = "adversary.belief_update";
+    /// Span: one trial's ε′-from-local-sensitivities, composed by the RDP
+    /// accountant after training (runtime executor).
+    pub const EPS_LS_SPAN: &str = "dp.eps_ls";
 
     /// Counter: trials executed by the engine (excludes store replays).
     pub const TRIALS_EXECUTED: &str = "executor.trials_executed";

@@ -98,6 +98,7 @@ pub fn execute_trial(
     let trial_span = obs::span(obs::names::TRIAL_SPAN);
     let seed = trial_seed(plan.master_seed, idx);
     let trial = run_di_trial(pair, settings, test_set, model_builder, seed);
+    let eps_ls_span = obs::span(obs::names::EPS_LS_SPAN);
     // Poisson-subsampled trials compose the subsampled Gaussian RDP steps
     // (amplification by subsampling); the per-step σ/LS ledger applies only
     // to the full-batch protocol.
@@ -115,6 +116,7 @@ pub fn execute_trial(
             plan.delta,
         ),
     };
+    drop(eps_ls_span);
     obs::counter(obs::names::TRIALS_EXECUTED, 1);
     drop(trial_span);
     TrialRecord {
